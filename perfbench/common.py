@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import resource
+import time
 from dataclasses import dataclass, field
 
 #: Seed of the simulated deployment (overlay, peer speeds, base data).  It
@@ -34,6 +35,7 @@ class Measured:
     attempted: int
     failed: int
     correct: bool
+    peak_rss_mb: float
     op_pieces: list[int] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     layer: dict = field(default_factory=dict)
@@ -48,6 +50,60 @@ class Measured:
         return (self.ops, self.messages, self.sim_latencies, self.attempted, self.failed)
 
 
+class HostSpeed:
+    """How slowly the host runs a fixed piece of pure-Python work right now.
+
+    The benchmark shares its machine: other tenants slow it by 30-40% for
+    minutes at a time, so two sets of identical runs could differ by more
+    than the wall metrics' bounds.  A *probe* times a fixed integer loop
+    that runs no program code.  The mean probe over :data:`NOMINAL_PROBE_S`
+    is the host's slowdown, and the gated wall metrics are scaled by it to
+    what they would read on the quiet host.  The program's own speed still
+    moves them in full, as the probe does not depend on it.  Of the loops
+    tried (integer arithmetic, dict building, method calls, string
+    formatting), the integer loop's mean tracked the workloads' own
+    slowdowns best; the mean, because interruptions add time.
+    """
+
+    #: Mean probe on the quiet host the benchmark was defined on (a 2-vCPU
+    #: VM, Python 3.11).
+    NOMINAL_PROBE_S = 0.0033
+    #: Least wall time between probes while a workload runs.
+    PERIOD_S = 0.25
+    #: Probes per burst.
+    BURST = 3
+
+    def __init__(self) -> None:
+        self.samples: list[float] = []
+        self._last = -math.inf
+
+    @staticmethod
+    def _work() -> int:
+        total = 0
+        for i in range(50000):
+            total += i * i % 7
+        return total
+
+    def burst(self) -> float:
+        """Take one burst of probes, record each, and return the host's slowdown."""
+        times = []
+        for _ in range(self.BURST):
+            start = time.perf_counter()
+            self._work()
+            times.append(time.perf_counter() - start)
+        self.samples.extend(times)
+        self._last = time.perf_counter()
+        return self.slowdown(times)
+
+    def between(self) -> None:
+        """Called by workloads between timed pieces: probe once per period."""
+        if time.perf_counter() - self._last >= self.PERIOD_S:
+            self.burst()
+
+    def slowdown(self, samples: list[float]) -> float:
+        return sum(samples) / len(samples) / self.NOMINAL_PROBE_S
+
+
 def percentile(values: list[float], p: float) -> float:
     """Linear-interpolated ``p``-th percentile (``p`` in [0, 100])."""
     if not values:
@@ -55,12 +111,13 @@ def percentile(values: list[float], p: float) -> float:
     ordered = sorted(values)
     rank = (len(ordered) - 1) * p / 100.0
     low = math.floor(rank)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
-
-
-def median(values: list[float]) -> float:
-    return percentile(values, 50.0)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    # Weighted sum rather than ``a + (b - a) * f``: with infinite values
+    # (failed operations) the difference would be inf - inf or inf * 0.
+    fraction = rank - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 def peak_rss_mb() -> float:

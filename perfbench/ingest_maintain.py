@@ -18,9 +18,9 @@ gateway's route cache fixes the paths most of its operations take, so with
 a single gateway for the whole run the simulated latencies would mostly
 measure which routes that one cache happened to learn.
 
-Background passes (steps 3-4) count toward the wall time, not the ops.  New
-OIDs extend the base's OID range, so the OID group is the one that
-overflows and the splits are the same for every seed.
+Background work (the churn of step 1, and steps 3-4) counts toward the
+wall time, not the ops.  New OIDs extend the base's OID range, so the OID
+group is the one that overflows and the splits are the same for every seed.
 
 Checks, outside the timed region: with every peer online, convergence
 rounds, then verification reads (``by_oids`` per touched tuple and
@@ -39,10 +39,13 @@ from perfbench.common import (
     Measured,
     fix_link_latencies,
     frame_layer_figures,
+    peak_rss_mb,
     route_cache_totals,
 )
 
-#: Wall seconds one epoch took when the benchmark was defined.
+#: ``--seconds`` per epoch: 25 epochs at 30 s.  An epoch takes about 0.4
+#: wall seconds, but past about 30 epochs the OID range crosses a digit
+#: boundary and a rebalance cascade takes minutes, so the count stays low.
 EPOCH_SECONDS = 1.2
 
 SIZES = {
@@ -98,7 +101,14 @@ def setup(size: str):
     return store, oracle, capacity
 
 
-def run(state, seed: int, seconds: float, size: str, region=contextlib.nullcontext) -> Measured:
+def run(
+    state,
+    seed: int,
+    seconds: float,
+    size: str,
+    region=contextlib.nullcontext,
+    between=lambda: None,
+) -> Measured:
     from repro.bench.workloads import AREAS, ingest_tuples
     from repro.pgrid.load_balancing import rebalance
     from repro.pgrid.updates import anti_entropy_round
@@ -179,26 +189,32 @@ def run(state, seed: int, seconds: float, size: str, region=contextlib.nullconte
     cache_before = route_cache_totals(pnet)
     with pnet.net.frame() as frame, region():
         for epoch, kinds in enumerate(plan):
+            between()
             t0 = time.perf_counter()
             gateway = gateways[epoch % len(gateways)]
             offline = _churn(pnet, gateway, cfg["churn"], rng)
             with store.event_driven() as scheduler:
+                # Churn and scheduler set-up are background work, not the
+                # first operation's.
+                walls.append(time.perf_counter() - t0)
                 for kind in kinds:
+                    between()
+                    t0 = time.perf_counter()
                     try:
                         trace = operations[kind]()
                     except Exception as error:  # a failed operation is reported, not fatal
                         failed += 1
                         problems.append(f"{kind} raised {error!r}")
                         trace = None
-                    t1 = time.perf_counter()
-                    walls.append(t1 - t0)
-                    t0 = t1
+                    walls.append(time.perf_counter() - t0)
                     if trace is None:
                         continue
                     op_pieces.append(len(walls) - 1)
                     by_kind.setdefault(kind, []).append(len(sim_latencies))
                     sim_latencies.append(trace.latency)
                     hops.append(trace.hops)
+                between()
+                t0 = time.perf_counter()
                 deliveries += len(scheduler.log)
             for peer in offline:
                 peer.recover()
@@ -206,6 +222,7 @@ def run(state, seed: int, seconds: float, size: str, region=contextlib.nullconte
             if epoch % REBALANCE_EVERY == REBALANCE_EVERY - 1:
                 splits += rebalance(pnet, capacity)
             walls.append(time.perf_counter() - t0)
+    rss = peak_rss_mb()
     cache_after = route_cache_totals(pnet)
     ops = sum(len(kinds) for kinds in plan)
 
@@ -246,6 +263,7 @@ def run(state, seed: int, seconds: float, size: str, region=contextlib.nullconte
         attempted=ops + verification_reads,
         failed=failed + stale,
         correct=not problems,
+        peak_rss_mb=rss,
         op_pieces=op_pieces,
         extra={
             "epochs": epochs,

@@ -26,6 +26,7 @@ from perfbench.common import (
     DEPLOYMENT_SEED,
     Measured,
     fix_link_latencies,
+    peak_rss_mb,
     percentile,
     ratio,
     route_cache_totals,
@@ -100,21 +101,31 @@ def drive(pnet, keys, speeds, rate: float, horizon: float, seed: int):
     return records, frame, model, deliveries
 
 
-def run(state, seed: int, seconds: float, size: str, region=contextlib.nullcontext) -> Measured:
+def run(
+    state,
+    seed: int,
+    seconds: float,
+    size: str,
+    region=contextlib.nullcontext,
+    between=lambda: None,
+) -> Measured:
     pnet, keys, speeds = state
     horizon = max(0.5, HORIZON_PER_SECOND * seconds)
     cache_before = route_cache_totals(pnet)
     walls = []
     points = {}
     for rate in LADDER + [DEEP_RATE]:
+        between()
         with region():
             start = time.perf_counter()
             records, frame, model, deliveries = drive(pnet, keys, speeds, rate, horizon, seed)
             walls.append(time.perf_counter() - start)
+        rss = peak_rss_mb()
         # Summarise each point between timed stretches and drop its records,
         # so the heap (and the garbage collector's work) does not grow with
         # the ladder.
         points[rate] = summarise(records, frame, model, deliveries, horizon, rate)
+        points[rate]["wall_s"] = walls[-1]
     cache_after = route_cache_totals(pnet)
 
     ops = sum(point["ops"] for point in points.values())
@@ -156,6 +167,7 @@ def run(state, seed: int, seconds: float, size: str, region=contextlib.nullconte
         attempted=ops,
         failed=sum(point["failed"] for point in points.values()),
         correct=not problems,
+        peak_rss_mb=rss,
         extra={
             "horizon_s": horizon,
             "reference_rate": REFERENCE_RATE,
@@ -166,7 +178,7 @@ def run(state, seed: int, seconds: float, size: str, region=contextlib.nullconte
             "max_rate_in_slo": max((r for r, p in points.items() if p["in_slo"]), default=0),
             "generator_lag_ms": 0.0,
             "ladder": {
-                rate: {name: point[name] for name in ("ops", "failed", "goodput_per_s", "in_slo")}
+                rate: {name: point[name] for name in ("ops", "failed", "goodput_per_s", "in_slo", "wall_s")}
                 for rate, point in points.items()
             },
         },

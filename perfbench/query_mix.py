@@ -26,6 +26,7 @@ from perfbench.common import (
     Measured,
     fix_link_latencies,
     frame_layer_figures,
+    peak_rss_mb,
     route_cache_totals,
 )
 
@@ -138,48 +139,14 @@ def canonical(rows) -> list:
     return sorted(tuple(sorted((name, repr(value)) for name, value in row.items())) for row in rows)
 
 
-class ReferenceRows:
-    """``mode="reference"`` rows per distinct query text, canonicalised.
-
-    ``UniStore.execute(text, mode="reference")`` collects every stored
-    triple and then runs the centralized reference executor; the data does
-    not change during the check, so the triples are collected once and the
-    same executor runs per text.  The first text also goes through
-    ``execute`` itself, so the shortcut cannot drift from the real mode.
-    """
-
-    def __init__(self, store):
-        from repro.triples.index import IndexKind
-        from repro.triples.store import Posting
-
-        self.store = store
-        self.triples = sorted(
-            {
-                entry.value.triple
-                for entry in store.pnet.all_entries()
-                if isinstance(entry.value, Posting) and entry.value.kind is IndexKind.AV
-            }
-        )
-        self.cache: dict[str, list] = {}
-        self.problems: list[str] = []
-
-    def rows(self, text: str) -> list:
-        from repro.algebra.plan_builder import build_plan
-        from repro.algebra.reference import execute_reference
-        from repro.algebra.rewrite import rewrite
-        from repro.vql.parser import parse
-
-        if text not in self.cache:
-            logical = rewrite(build_plan(parse(text)))
-            self.cache[text] = canonical(execute_reference(logical, self.triples))
-            if len(self.cache) == 1:
-                direct = canonical(self.store.execute(text, mode="reference").rows)
-                if direct != self.cache[text]:
-                    self.problems.append(f"reference snapshot disagrees with execute: {text}")
-        return self.cache[text]
-
-
-def run(state, seed: int, seconds: float, size: str, region=contextlib.nullcontext) -> Measured:
+def run(
+    state,
+    seed: int,
+    seconds: float,
+    size: str,
+    region=contextlib.nullcontext,
+    between=lambda: None,
+) -> Measured:
     store, domain = state
     stream = op_stream(seed, seconds, domain)
     answers = []
@@ -193,6 +160,7 @@ def run(state, seed: int, seconds: float, size: str, region=contextlib.nullconte
     cache_before = route_cache_totals(store.pnet)
     with store.pnet.net.frame() as frame, region():
         for kind, mode, text in stream:
+            between()
             t0 = time.perf_counter()
             try:
                 result = store.execute(text, mode=mode)
@@ -208,18 +176,20 @@ def run(state, seed: int, seconds: float, size: str, region=contextlib.nullconte
             sim_latencies.append(result.trace.latency)
             hops.append(result.trace.hops)
             answers.append(result.rows)
+    rss = peak_rss_mb()
     cache_after = route_cache_totals(store.pnet)
 
     # Output check (outside the timed region): reference rows per distinct text.
-    reference = ReferenceRows(store)
+    reference: dict[str, list] = {}
     rows_returned = 0
     for (kind, mode, text), rows in zip(stream, answers):
         if rows is None:
             continue
         rows_returned += len(rows)
-        if canonical(rows) != reference.rows(text):
+        if text not in reference:
+            reference[text] = canonical(store.execute(text, mode="reference").rows)
+        if canonical(rows) != reference[text]:
             problems.append(f"{kind}/{mode} rows differ from the reference: {text}")
-    problems.extend(reference.problems)
 
     layer = frame_layer_figures(frame, len(stream), cache_before, cache_after)
     layer["rows_returned"] = rows_returned
@@ -232,10 +202,11 @@ def run(state, seed: int, seconds: float, size: str, region=contextlib.nullconte
         attempted=len(stream),
         failed=failed,
         correct=not problems,
+        peak_rss_mb=rss,
         op_pieces=op_pieces,
         extra={
             "rounds": len(stream) // sum(count for *_, count in ROUND),
-            "distinct_queries": len(reference.cache),
+            "distinct_queries": len(reference),
             "op_classes": per_class,
         },
         layer=layer,

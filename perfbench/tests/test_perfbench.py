@@ -107,6 +107,19 @@ def test_query_streams_differ_by_seed_and_keep_class_counts():
     assert first == query_mix.op_stream(1, 10, domain)
 
 
+def test_percentile_of_infinite_values():
+    sys.path.insert(0, ROOT)
+    try:
+        from perfbench.common import percentile
+    finally:
+        del sys.path[0]
+    # Rank 2 of 5 values is a whole number: no interpolation with the inf above.
+    assert percentile([1.0, 2.0, 3.0, float("inf"), float("inf")], 50) == 3.0
+    assert percentile([1.0, 2.0, float("inf"), float("inf"), float("inf")], 75) == float("inf")
+    assert percentile([1.0, float("inf")], 50) == float("inf")
+    assert percentile([1.0, 3.0], 50) == 2.0
+
+
 def test_refuses_to_run_without_the_program(tmp_path):
     os.makedirs(tmp_path / "perfbench")
     for name in ("__init__.py", "run.py"):
