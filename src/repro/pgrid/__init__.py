@@ -32,7 +32,6 @@ from repro.pgrid.keys import (
     increment_path,
     is_complete_partition,
     is_prefix_free,
-    key_fraction,
     responsible,
 )
 from repro.pgrid.load_balancing import load_imbalance, rebalance, split_group
@@ -98,7 +97,6 @@ __all__ = [
     "common_prefix_length",
     "flip",
     "increment_path",
-    "key_fraction",
     "is_prefix_free",
     "is_complete_partition",
 ]

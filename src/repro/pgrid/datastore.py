@@ -84,41 +84,36 @@ class DataStore:
         return items.get(item_id) if items else None
 
     def scan(self, key_range: KeyRange) -> list[Entry]:
-        """All entries whose key lies in the half-open ``key_range``.
+        """All entries whose key lies in the half-open ``key_range``, in key order.
 
-        Runs in ``O(log n + k)`` over the sorted key index: binary search to
-        the first candidate, linear walk until a key at or past the upper
-        bound.  Because keys compare as binary fractions while the index is
-        plain-lexicographic, keys that are zero-padded variants of the lower
-        bound are re-checked with ``key_range.contains``.
+        The matching keys are one contiguous run of the sorted key index:
+        bisecting for the range's canonical bounds finds both ends exactly
+        (see :mod:`repro.pgrid.keys`), so the cost is ``O(log n + k)`` with no
+        per-key check.
         """
-        start = bisect.bisect_left(self._sorted_keys, key_range.lo)
-        # Lexicographically smaller keys that denote the same point (e.g.
-        # "01" vs lo="010") sit immediately before `start`; back up over them.
-        while start > 0 and key_range.contains(self._sorted_keys[start - 1]):
-            start -= 1
-        result: list[Entry] = []
-        for index in range(start, len(self._sorted_keys)):
-            key = self._sorted_keys[index]
-            if not key_range.contains(key):
-                if key_range.hi is not None and key >= key_range.hi:
-                    break
-                continue
-            result.extend(self._by_key[key].values())
-        return result
+        start, stop = self._bounds(key_range)
+        return self._entries(self._sorted_keys[start:stop])
 
     def partition(self, prefix_zero: str) -> tuple[list[Entry], list[Entry]]:
-        """Split all entries into (covered by ``prefix_zero``, the rest).
+        """Split all entries into (covered by ``prefix_zero``, the rest), in key order.
 
         Used when a replica group splits its path: the '0'-side keeps the
         first list, the '1'-side the second.
         """
-        keep: list[Entry] = []
-        give: list[Entry] = []
-        zero_range = KeyRange.subtree(prefix_zero)
-        for entry in self:
-            (keep if zero_range.contains(entry.key) else give).append(entry)
-        return keep, give
+        start, stop = self._bounds(KeyRange.subtree(prefix_zero))
+        keys = self._sorted_keys
+        return self._entries(keys[start:stop]), self._entries(keys[:start] + keys[stop:])
+
+    def _bounds(self, key_range: KeyRange) -> tuple[int, int]:
+        """Slice ``[start, stop)`` of the sorted key index that ``key_range`` covers."""
+        keys = self._sorted_keys
+        start = bisect.bisect_left(keys, key_range.canonical_lo)
+        if key_range.canonical_hi is None:
+            return start, len(keys)
+        return start, bisect.bisect_left(keys, key_range.canonical_hi, start)
+
+    def _entries(self, keys: list[str]) -> list[Entry]:
+        return [entry for key in keys for entry in self._by_key[key].values()]
 
     def keys(self) -> list[str]:
         """Sorted list of distinct keys (copy)."""

@@ -28,13 +28,19 @@ import struct
 KEY_SEPARATOR = "\x02"
 
 
+class _ByteBits(dict):
+    """``str.translate`` table: code point -> its 8 bits, clamped to 255."""
+
+    def __missing__(self, code: int) -> str:
+        return self[255]
+
+
+_BYTE_BITS = _ByteBits({code: format(code, "08b") for code in range(256)})
+
+
 def encode_string(s: str) -> str:
     """Encode a string as bits, 8 per character, order-preserving."""
-    out = []
-    for ch in s:
-        code = min(ord(ch), 255)
-        out.append(format(code, "08b"))
-    return "".join(out)
+    return s.translate(_BYTE_BITS)
 
 
 def encode_number(x: float | int) -> str:

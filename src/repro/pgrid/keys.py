@@ -6,13 +6,21 @@ and a *path* π denotes the interval ``[π, π + 2^-|π|)``: the set of all keys
 having π as a prefix.  A set of paths is a valid P-Grid partition when those
 intervals tile the whole space (prefix-free, Kraft sum 1).
 
-All comparison helpers here treat missing trailing bits as ``0`` so that keys
-of unequal length compare as the binary fractions they denote.
+Missing trailing bits count as ``0``, so keys of unequal length compare as
+the binary fractions they denote.  That needs no arithmetic, because of one
+invariant of the *canonical form* ``key.rstrip("0")``:
+
+* two canonical forms compare lexicographically exactly as their points do;
+* every other key denoting the same point is its canonical form plus zeros,
+  so it sorts at or after that form.
+
+Hence, for any key ``k`` and bound ``b``, ``k >= canonical(b)`` as strings
+iff the point of ``k`` is at or above the point of ``b``.  :class:`KeyRange`
+compares through canonical bounds, and a plainly sorted key list answers a
+range with two bisects (:meth:`repro.pgrid.datastore.DataStore.scan`).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 BITS = ("0", "1")
 
@@ -42,24 +50,18 @@ def common_prefix_length(a: str, b: str) -> int:
     return n
 
 
+def canonical(key: str) -> str:
+    """The canonical form of ``key``: the shortest key denoting the same point."""
+    return key.rstrip("0")
+
+
 def compare_keys(a: str, b: str) -> int:
     """Three-way compare of two keys as binary fractions (-1, 0, +1).
 
     ``"01" == "010"`` because both denote the point 0.01₂.
     """
-    n = max(len(a), len(b))
-    a_padded = a.ljust(n, "0")
-    b_padded = b.ljust(n, "0")
-    if a_padded < b_padded:
-        return -1
-    if a_padded > b_padded:
-        return 1
-    return 0
-
-
-def key_le(a: str, b: str) -> bool:
-    """``a <= b`` as binary fractions."""
-    return compare_keys(a, b) <= 0
+    a, b = canonical(a), canonical(b)
+    return (a > b) - (a < b)
 
 
 def responsible(path: str, key: str) -> bool:
@@ -73,47 +75,23 @@ def responsible(path: str, key: str) -> bool:
     return path == key + "0" * (len(path) - len(key))
 
 
-def path_interval(path: str) -> tuple[Fraction, Fraction]:
-    """Return the half-open interval ``[lo, hi)`` a path covers, as fractions."""
-    lo = key_fraction(path)
-    return lo, lo + Fraction(1, 2 ** len(path))
-
-
-def key_fraction(key: str) -> Fraction:
-    """Exact numeric value of a key as a binary fraction in ``[0, 1)``."""
-    value = Fraction(0)
-    for i, bit in enumerate(key, start=1):
-        if bit == "1":
-            value += Fraction(1, 2**i)
-    return value
-
-
-def intervals_intersect(path: str, lo: str, hi: str) -> bool:
-    """True when the subtree of ``path`` contains any key in ``[lo, hi]``.
-
-    ``lo``/``hi`` are inclusive key bounds (points).  The subtree is the
-    half-open interval of :func:`path_interval`.
-    """
-    p_lo, p_hi = path_interval(path)
-    q_lo = key_fraction(lo)
-    q_hi = key_fraction(hi)
-    return p_lo <= q_hi and q_lo < p_hi
-
-
 class KeyRange:
     """A half-open key interval ``[lo, hi)`` over points in ``[0, 1)``.
 
     ``hi is None`` means "to the end of the key space".  All physical range
     operators and the overlays' range-query algorithms take one of these.
+    ``lo``/``hi`` stay as given, because callers extend them into longer keys
+    and route to them; every comparison uses their canonical forms
+    ``canonical_lo``/``canonical_hi``.
     """
 
-    __slots__ = ("lo", "hi", "_lo_f", "_hi_f")
+    __slots__ = ("lo", "hi", "canonical_lo", "canonical_hi")
 
     def __init__(self, lo: str, hi: str | None):
         self.lo = validate_key(lo)
         self.hi = validate_key(hi) if hi is not None else None
-        self._lo_f = key_fraction(self.lo)
-        self._hi_f = key_fraction(self.hi) if self.hi is not None else Fraction(1)
+        self.canonical_lo = canonical(self.lo)
+        self.canonical_hi = canonical(self.hi) if self.hi is not None else None
 
     @classmethod
     def subtree(cls, prefix: str) -> "KeyRange":
@@ -130,24 +108,25 @@ class KeyRange:
         return cls("", None)
 
     def contains(self, key: str) -> bool:
-        point = key_fraction(key)
-        return self._lo_f <= point < self._hi_f
+        # ``key`` itself compares to a canonical bound as its canonical form does.
+        return self.canonical_lo <= key and (self.canonical_hi is None or key < self.canonical_hi)
 
     def intersects_path(self, path: str) -> bool:
         """True when the subtree of ``path`` overlaps this interval."""
-        p_lo, p_hi = path_interval(path)
-        return p_lo < self._hi_f and self._lo_f < p_hi
+        starts_below_hi = self.canonical_hi is None or canonical(path) < self.canonical_hi
+        above = increment_path(path)  # already canonical: it ends in '1'
+        return starts_below_hi and (above is None or self.canonical_lo < above)
 
     def is_empty(self) -> bool:
-        return self._lo_f >= self._hi_f
+        return self.canonical_hi is not None and self.canonical_lo >= self.canonical_hi
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KeyRange):
             return NotImplemented
-        return self._lo_f == other._lo_f and self._hi_f == other._hi_f
+        return (self.canonical_lo, self.canonical_hi) == (other.canonical_lo, other.canonical_hi)
 
     def __hash__(self) -> int:
-        return hash((self._lo_f, self._hi_f))
+        return hash((self.canonical_lo, self.canonical_hi))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         hi = "END" if self.hi is None else self.hi
@@ -178,7 +157,8 @@ def is_prefix_free(paths: list[str]) -> bool:
 def is_complete_partition(paths: list[str]) -> bool:
     """True when the set of paths tiles the whole key space.
 
-    Checks prefix-freeness plus the Kraft equality ``sum 2^-|π| == 1``.
+    Checks prefix-freeness plus the Kraft equality ``sum 2^-|π| == 1``, in
+    integers scaled by ``2^L`` for the longest path length ``L``.
     The empty set is not a partition; a single empty path (whole space) is.
     """
     unique = set(paths)
@@ -186,5 +166,5 @@ def is_complete_partition(paths: list[str]) -> bool:
         return False
     if not is_prefix_free(list(unique)):
         return False
-    total = sum(Fraction(1, 2 ** len(p)) for p in unique)
-    return total == 1
+    depth = max(len(p) for p in unique)
+    return sum(1 << (depth - len(p)) for p in unique) == 1 << depth

@@ -80,7 +80,7 @@ def ensure_replication(pnet: PGridNetwork, factor: int) -> int:
 
 
 def online_coverage(pnet: PGridNetwork) -> float:
-    """Fraction of the key space currently served by at least one online peer.
+    """Share of the key space currently served by at least one online peer.
 
     Weighted by interval size (``2^-len(path)``): a dead group covering a
     shallow path loses more of the space than a deep one.

@@ -63,7 +63,7 @@ def sync_pair(a: PGridPeer, b: PGridPeer) -> int:
 
 
 def staleness(pnet: PGridNetwork, sample_keys: list[str]) -> float:
-    """Fraction of replica copies that are *not* at the latest version.
+    """Share of replica copies that are *not* at the latest version.
 
     For every sampled key, the latest version present anywhere in the
     overlay is the reference; each responsible peer (online or not) holding

@@ -326,12 +326,10 @@ class QGramScan(_ScanBase):
                     continue
                 candidates.setdefault(triple.as_tuple(), triple)
 
-        verified = [
-            t
-            for t in candidates.values()
-            if isinstance(t.value, str)
-            and edit_distance_within(t.value, self.text, self.max_distance) is not None
-        ]
+        within: dict[str, bool] = {}  # many candidates share a value: verify each once
+        for value in {t.value for t in candidates.values() if isinstance(t.value, str)}:
+            within[value] = edit_distance_within(value, self.text, self.max_distance) is not None
+        verified = [t for t in candidates.values() if within.get(t.value, False)]
         bindings = self._bindings_from_triples(verified)
         groups = [(ctx.coordinator.node_id, bindings)] if bindings else []
         return OpResult(groups=groups, trace=Trace.parallel(branches))
@@ -403,10 +401,21 @@ class OidClusterScan(PhysicalOperator):
         return OpResult(groups=result_groups, trace=trace, complete=complete)
 
     def _evaluate_star(self, triples: list[Triple]) -> list[Binding]:
-        """Local BGP evaluation over one tuple's triples."""
+        """Local BGP evaluation over one tuple's triples.
+
+        A pattern with a literal predicate is unified only against the
+        triples of that attribute (in their original order).
+        """
+        by_attribute: dict[str, list[Triple]] = {}
+        for triple in triples:
+            by_attribute.setdefault(triple.attribute, []).append(triple)
         partial: list[Binding] = [{}]
         for pattern in self.patterns:
-            matches = [b for t in triples if (b := match_pattern(pattern, t)) is not None]
+            predicate = pattern.predicate
+            candidates = (
+                by_attribute.get(predicate.value, []) if isinstance(predicate, Literal) else triples
+            )
+            matches = [b for t in candidates if (b := match_pattern(pattern, t)) is not None]
             if not matches:
                 return []
             merged: list[Binding] = []

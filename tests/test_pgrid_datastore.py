@@ -1,12 +1,34 @@
 """Per-peer datastore: versioned upserts, range scans, partitioning."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pgrid.datastore import DataStore, Entry
-from repro.pgrid.keys import KeyRange, key_fraction
+from repro.pgrid.keys import KeyRange
 
 KEYS = st.text(alphabet="01", min_size=1, max_size=8)
+# Any key, the empty one included; trailing zeros make distinct keys share a point.
+ANY_KEYS = st.builds(
+    lambda key, zeros: key + "0" * zeros, st.text(alphabet="01", max_size=6), st.integers(0, 3)
+)
+
+
+def key_fraction(key: str) -> Fraction:
+    """Oracle: the point a key denotes, as an exact binary fraction."""
+    return sum((Fraction(1, 2**i) for i, bit in enumerate(key, 1) if bit == "1"), Fraction(0))
+
+
+def _store_of(keys: list[str]) -> DataStore:
+    store = DataStore()
+    for index, key in enumerate(keys):
+        store.put(Entry(key=key, item_id=f"i{index % 3}", value=key, version=0))
+    return store
+
+
+def _identities(entries) -> list[tuple[str, str]]:
+    return [(e.key, e.item_id) for e in entries]
 
 
 def _entry(key, item="x", value=None, version=0):
@@ -113,6 +135,34 @@ class TestScan:
         for index, key in enumerate(keys):
             store.put(Entry(key=key, item_id=f"i{index}", value=key, version=0))
         key_range = KeyRange(lo, hi if key_fraction(hi) > key_fraction(lo) else None)
+        upper = key_fraction(hi) if key_range.hi is not None else Fraction(1)
         got = sorted((e.key, e.item_id) for e in store.scan(key_range))
-        expected = sorted((e.key, e.item_id) for e in store if key_range.contains(e.key))
+        expected = sorted(
+            (e.key, e.item_id) for e in store if key_fraction(lo) <= key_fraction(e.key) < upper
+        )
         assert got == expected
+
+
+class TestAgainstFractionOracle:
+    """scan/partition select by exact points and keep iteration order."""
+
+    @given(st.lists(ANY_KEYS, max_size=30), ANY_KEYS, st.none() | ANY_KEYS)
+    @settings(max_examples=200)
+    def test_scan_membership_and_order(self, keys, lo, hi):
+        store = _store_of(keys)
+        lower = key_fraction(lo)
+        upper = Fraction(1) if hi is None else key_fraction(hi)
+        expected = [e for e in store if lower <= key_fraction(e.key) < upper]
+        assert _identities(store.scan(KeyRange(lo, hi))) == _identities(expected)
+
+    @given(st.lists(ANY_KEYS, max_size=30), ANY_KEYS)
+    @settings(max_examples=200)
+    def test_partition_membership_and_order(self, keys, prefix):
+        store = _store_of(keys)
+        lower = key_fraction(prefix)
+        upper = lower + Fraction(1, 2 ** len(prefix))
+        inside = [e for e in store if lower <= key_fraction(e.key) < upper]
+        outside = [e for e in store if not lower <= key_fraction(e.key) < upper]
+        keep, give = store.partition(prefix)
+        assert _identities(keep) == _identities(inside)
+        assert _identities(give) == _identities(outside)

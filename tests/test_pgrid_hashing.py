@@ -1,5 +1,6 @@
 """The order/prefix-preserving hash — P-Grid's key enabling property."""
 
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,13 +13,18 @@ from repro.pgrid.hashing import (
     encode_value,
     string_prefix_key,
 )
-from repro.pgrid.keys import compare_keys, key_fraction
+from repro.pgrid.keys import compare_keys
 
 SAFE_TEXT = st.text(alphabet=st.characters(min_codepoint=3, max_codepoint=126), max_size=10)
 NUMBERS = st.one_of(
     st.integers(min_value=-(2**40), max_value=2**40),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
 )
+
+
+def key_fraction(key: str) -> Fraction:
+    """Oracle: the point a key denotes, as an exact binary fraction."""
+    return sum((Fraction(1, 2**i) for i, bit in enumerate(key, 1) if bit == "1"), Fraction(0))
 
 
 class TestStringEncoding:
@@ -45,6 +51,11 @@ class TestStringEncoding:
     def test_injective_on_safe_text(self, a, b):
         if a != b:
             assert encode_string(a) != encode_string(b)
+
+    @given(st.text(max_size=10))
+    def test_eight_bits_per_character_clamped_to_255(self, s):
+        expected = "".join(format(min(ord(ch), 255), "08b") for ch in s)
+        assert encode_string(s) == expected
 
 
 class TestNumberEncoding:

@@ -1,4 +1,8 @@
-"""Key-space semantics: comparisons, responsibility, partitions, KeyRange."""
+"""Key-space semantics: comparisons, responsibility, partitions, KeyRange.
+
+The library compares keys as strings (canonical forms); these tests check it
+against an independent oracle that evaluates keys as exact binary fractions.
+"""
 
 import pytest
 from fractions import Fraction
@@ -7,21 +11,37 @@ from hypothesis import strategies as st
 
 from repro.pgrid.keys import (
     KeyRange,
+    canonical,
     common_prefix_length,
     compare_keys,
     flip,
     increment_path,
-    intervals_intersect,
     is_complete_partition,
     is_prefix_free,
-    key_fraction,
-    key_le,
-    path_interval,
     responsible,
     validate_key,
 )
 
 BITS = st.text(alphabet="01", max_size=12)
+# Keys drawn to hit equal points: canonical bit strings plus trailing zeros.
+PADDED = st.builds(lambda key, zeros: key + "0" * zeros, BITS, st.integers(0, 3))
+
+
+def key_fraction(key: str) -> Fraction:
+    """Oracle: the point a key denotes, as an exact binary fraction."""
+    return sum((Fraction(1, 2**i) for i, bit in enumerate(key, 1) if bit == "1"), Fraction(0))
+
+
+def path_interval(path: str) -> tuple[Fraction, Fraction]:
+    """Oracle: the half-open interval a path's subtree covers."""
+    lo = key_fraction(path)
+    return lo, lo + Fraction(1, 2 ** len(path))
+
+
+def range_interval(key_range: KeyRange) -> tuple[Fraction, Fraction]:
+    """Oracle: the half-open interval of a KeyRange (``hi is None`` is 1)."""
+    hi = Fraction(1) if key_range.hi is None else key_fraction(key_range.hi)
+    return key_fraction(key_range.lo), hi
 
 
 class TestBasics:
@@ -54,14 +74,22 @@ class TestComparison:
         assert compare_keys("1", "01") == 1
 
     def test_key_le(self):
-        assert key_le("01", "010")
-        assert key_le("001", "01")
-        assert not key_le("1", "01")
+        assert compare_keys("01", "010") <= 0
+        assert compare_keys("001", "01") <= 0
+        assert not compare_keys("1", "01") <= 0
 
-    @given(BITS, BITS)
+    @given(PADDED, PADDED)
     def test_compare_agrees_with_fractions(self, a, b):
         by_fraction = (key_fraction(a) > key_fraction(b)) - (key_fraction(a) < key_fraction(b))
         assert compare_keys(a, b) == by_fraction
+
+    @given(PADDED, PADDED)
+    def test_canonical_order_is_point_order(self, a, b):
+        # The invariant the string key space rests on (see repro.pgrid.keys).
+        assert (canonical(a) < canonical(b)) == (key_fraction(a) < key_fraction(b))
+        assert (canonical(a) == canonical(b)) == (key_fraction(a) == key_fraction(b))
+        assert canonical(a) <= a
+        assert (a >= canonical(b)) == (key_fraction(a) >= key_fraction(b))
 
 
 class TestResponsibility:
@@ -85,13 +113,17 @@ class TestResponsibility:
 
 class TestIntervals:
     def test_path_interval(self):
-        assert path_interval("1") == (Fraction(1, 2), Fraction(1))
-        assert path_interval("") == (Fraction(0), Fraction(1))
+        assert KeyRange.subtree("1") == KeyRange("1", None)
+        assert KeyRange.subtree("") == KeyRange.everything()
+        assert KeyRange.subtree("0110") == KeyRange("011", "0111")
 
-    def test_intersect_inclusive_bounds(self):
-        assert intervals_intersect("01", "0100", "0111")
-        assert intervals_intersect("01", "00", "01")  # hi touches left edge
-        assert not intervals_intersect("01", "10", "11")
+    def test_intersects_path_at_edges(self):
+        assert KeyRange("0100", "0111").intersects_path("01")
+        assert KeyRange("00", "0100001").intersects_path("01")  # hi just past left edge
+        assert not KeyRange("00", "0100").intersects_path("01")  # hi at left edge
+        assert KeyRange("0111", "1").intersects_path("01")  # lo just before right edge
+        assert not KeyRange("1000", None).intersects_path("01")  # lo at right edge
+        assert not KeyRange("10", "11").intersects_path("01")
 
     def test_increment_path(self):
         assert increment_path("010") == "011"
@@ -121,6 +153,12 @@ class TestPartitions:
     def test_duplicates_collapse(self):
         # Replicas share paths; the *distinct* set must tile the space.
         assert is_complete_partition(["0", "0", "1"])
+
+    @given(st.lists(BITS, max_size=8))
+    def test_complete_partition_matches_kraft_sum(self, paths):
+        kraft = sum((Fraction(1, 2 ** len(p)) for p in set(paths)), Fraction(0))
+        expected = bool(paths) and is_prefix_free(paths) and kraft == 1
+        assert is_complete_partition(paths) == expected
 
 
 class TestKeyRange:
@@ -165,3 +203,39 @@ class TestKeyRange:
     def test_contains_matches_fraction_interval(self, lo, key):
         kr = KeyRange.at_least(lo)
         assert kr.contains(key) == (key_fraction(key) >= key_fraction(lo))
+
+
+RANGES = st.builds(KeyRange, PADDED, st.none() | PADDED)
+
+
+class TestKeyRangeAgainstFractions:
+    """Every KeyRange predicate agrees with the exact-fraction oracle."""
+
+    @given(RANGES, PADDED)
+    def test_contains(self, kr, key):
+        lo, hi = range_interval(kr)
+        assert kr.contains(key) == (lo <= key_fraction(key) < hi)
+
+    @given(RANGES, PADDED)
+    def test_intersects_path(self, kr, path):
+        lo, hi = range_interval(kr)
+        p_lo, p_hi = path_interval(path)
+        assert kr.intersects_path(path) == (p_lo < hi and lo < p_hi)
+
+    @given(RANGES)
+    def test_is_empty(self, kr):
+        lo, hi = range_interval(kr)
+        assert kr.is_empty() == (lo >= hi)
+
+    @given(RANGES, RANGES)
+    def test_equality_and_hash(self, a, b):
+        same = range_interval(a) == range_interval(b)
+        assert (a == b) == same
+        if same:
+            assert hash(a) == hash(b)
+
+    @given(PADDED, st.none() | PADDED, st.integers(0, 3), st.integers(0, 3))
+    def test_zero_padded_bounds_are_the_same_range(self, lo, hi, pad_lo, pad_hi):
+        padded = KeyRange(lo + "0" * pad_lo, None if hi is None else hi + "0" * pad_hi)
+        assert padded == KeyRange(lo, hi)
+        assert hash(padded) == hash(KeyRange(lo, hi))
