@@ -40,7 +40,7 @@ from repro.algebra.semantics import (
 from repro.mqp.plan import MutantQueryPlan
 from repro.optimizer.adaptive import Step, choose_next_step
 from repro.optimizer.cost_model import CostModel
-from repro.physical.base import ExecutionContext, match_postings
+from repro.physical.base import ExecutionContext, FilterCheck, match_postings
 from repro.triples.index import IndexKind, av_key, oid_key, v_key
 from repro.vql.ast import Expression, expression_variables
 
@@ -137,9 +137,10 @@ def _probe(ctx: ExecutionContext, plan: MutantQueryPlan, step: Step) -> Trace:
     )
 
     matches_by_value: dict[object, list[Binding]] = {}
+    check = FilterCheck(step.scan.filters)
     for value, (key, kind) in key_for_value.items():
         matches_by_value[value] = match_postings(
-            entries_by_key.get(key, []), pattern, kind, variable, value, step.scan.filters
+            entries_by_key.get(key, []), pattern, kind, variable, value, check
         )
 
     joined: list[Binding] = []

@@ -35,6 +35,10 @@ class DataStore:
     def __init__(self) -> None:
         self._by_key: dict[str, dict[str, Entry]] = {}
         self._sorted_keys: list[str] = []
+        #: Bumped by every call that changes the contents, so local caches
+        #: over the store (see :mod:`repro.triples.local_index`) can tell
+        #: whether they are still valid.
+        self.revision = 0
 
     def __len__(self) -> int:
         return sum(len(items) for items in self._by_key.values())
@@ -55,11 +59,13 @@ class DataStore:
         if items is None:
             bisect.insort(self._sorted_keys, entry.key)
             self._by_key[entry.key] = {entry.item_id: entry}
+            self.revision += 1
             return True
         existing = items.get(entry.item_id)
         if existing is not None and existing.version >= entry.version:
             return False
         items[entry.item_id] = entry
+        self.revision += 1
         return True
 
     def delete(self, key: str, item_id: str) -> bool:
@@ -72,6 +78,7 @@ class DataStore:
             del self._by_key[key]
             index = bisect.bisect_left(self._sorted_keys, key)
             del self._sorted_keys[index]
+        self.revision += 1
         return True
 
     def get(self, key: str) -> list[Entry]:
@@ -122,6 +129,7 @@ class DataStore:
     def clear(self) -> None:
         self._by_key.clear()
         self._sorted_keys.clear()
+        self.revision += 1
 
     def retain(self, predicate) -> int:
         """Keep only entries for which ``predicate(entry)`` is true; return #removed."""
@@ -135,4 +143,6 @@ class DataStore:
                 del self._by_key[key]
                 index = bisect.bisect_left(self._sorted_keys, key)
                 del self._sorted_keys[index]
+        if removed:
+            self.revision += 1
         return removed

@@ -26,7 +26,7 @@ from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 from repro.triples.index import IndexKind
 from repro.triples.store import DistributedTripleStore, Posting
-from repro.vql.ast import TriplePattern
+from repro.vql.ast import Expression, TriplePattern, expression_variables
 
 
 @dataclass
@@ -84,24 +84,78 @@ class OpResult:
         return self.shipped_to(ctx, ctx.coordinator.node_id, kind=kind)
 
 
+class FilterCheck:
+    """A conjunction of filters that evaluates each one-variable filter once
+    per distinct value of its variable.
+
+    A filter mentioning exactly one variable depends on a row only through
+    that variable's value, so its verdict is remembered per value.  Values
+    are looked up by ``==``, which is sound for row values (strings and
+    numbers; triples reject booleans) because no built-in function or
+    comparison tells ``1`` from ``1.0``.  Filters over several variables,
+    or none, run on every row.
+    ``check(row)`` evaluates the filters in order and stops at the first
+    failure, so it answers exactly ``all(satisfies(f, row) for f in
+    filters)``.  Verdicts live as long as the instance: one operator
+    execution.
+    """
+
+    def __init__(self, filters: tuple[Expression, ...] | list[Expression]):
+        # (filter, its only variable or None, verdict per value)
+        self._steps: list[tuple[Expression, str | None, dict]] = []
+        for expr in filters:
+            names = expression_variables(expr)
+            variable = next(iter(names)) if len(names) == 1 else None
+            self._steps.append((expr, variable, {}))
+
+    def __call__(self, binding: Binding) -> bool:
+        for expr, variable, verdicts in self._steps:
+            if variable is None:
+                if not satisfies(expr, binding):
+                    return False
+            elif not self._verdict(expr, variable, verdicts, binding.get(variable)):
+                return False
+        return True
+
+    def constrains(self, variable: str) -> bool:
+        """True when some filter mentions ``variable`` and nothing else."""
+        return any(name == variable for _expr, name, _verdicts in self._steps)
+
+    def value_passes(self, variable: str, value) -> bool:
+        """Whether ``value`` passes every filter that mentions only ``variable``."""
+        return all(
+            self._verdict(expr, name, verdicts, value)
+            for expr, name, verdicts in self._steps
+            if name == variable
+        )
+
+    @staticmethod
+    def _verdict(expr: Expression, variable: str, verdicts: dict, value) -> bool:
+        verdict = verdicts.get(value)
+        if verdict is None:
+            verdict = verdicts[value] = satisfies(expr, {variable: value})
+        return verdict
+
+
 def match_postings(
     entries,
     pattern: TriplePattern,
     kind: IndexKind,
     variable: str,
     value,
-    filters,
+    check: FilterCheck,
 ) -> list[Binding]:
     """Bindings produced by the index postings under one probe key.
 
     Deduplicates postings, unifies them against ``pattern``, keeps only
-    matches whose ``variable`` equals the probed ``value`` and that pass the
-    ``filters``.  OID probes compare against ``str(value)`` (OIDs are
+    matches whose ``variable`` equals the probed ``value`` and that pass
+    ``check``.  OID probes compare against ``str(value)`` (OIDs are
     strings) but keep the caller's original join value in the binding, so a
     non-string join value still unifies with the row that produced it.
 
     Shared by the index-nested-loop join and the MQP probe step — the two
-    per-value probe paths — so their matching semantics cannot drift.
+    per-value probe paths — so their matching semantics cannot drift.  Both
+    pass one ``check`` for all their probe values.
     """
     matches: list[Binding] = []
     seen: set = set()
@@ -122,7 +176,7 @@ def match_postings(
             binding = {**binding, variable: value}
         elif binding.get(variable) != value:
             continue
-        if all(satisfies(f, binding) for f in filters):
+        if check(binding):
             matches.append(binding)
     return matches
 

@@ -37,6 +37,7 @@ from repro.algebra.semantics import (
 )
 from repro.physical.base import (
     ExecutionContext,
+    FilterCheck,
     OpResult,
     PhysicalOperator,
     match_postings,
@@ -132,14 +133,10 @@ class IndexNestedLoopJoin(_JoinBase):
                 start=ctx.coordinator,
                 kind="join-lookup",
             )
+        check = FilterCheck(self.right_filters)
         for value, (key, kind) in key_for_value.items():
             cache[value] = match_postings(
-                entries_by_key.get(key, []),
-                pattern,
-                kind,
-                shared_name,
-                value,
-                self.right_filters,
+                entries_by_key.get(key, []), pattern, kind, shared_name, value, check
             )
         for row in left_rows:
             for match in cache.get(row.get(shared_name), ()):

@@ -24,12 +24,12 @@ their residual ``filters`` where the data lives, before anything is shipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from repro.errors import PlanningError
 from repro.net.trace import Trace
-from repro.algebra.expressions import satisfies
 from repro.algebra.semantics import Binding, match_pattern
-from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator
+from repro.physical.base import ExecutionContext, FilterCheck, OpResult, PhysicalOperator
 from repro.pgrid.keys import KeyRange
 from repro.pgrid.range_query import (
     range_query_sequential_groups,
@@ -48,6 +48,7 @@ from repro.triples.index import (
     v_string_prefix_range,
     v_value_range,
 )
+from repro.triples.local_index import TupleIndex, tuple_index
 from repro.triples.store import Posting
 from repro.triples.triple import Triple, Value
 from repro.vql.ast import Expression, Literal, TriplePattern, Var
@@ -60,8 +61,16 @@ class _ScanBase(PhysicalOperator):
     pattern: TriplePattern
     filters: tuple[Expression, ...] = ()
 
-    def _bindings(self, entries, kind: IndexKind) -> list[Binding]:
-        """Convert index postings to filtered bindings (dedup across replicas)."""
+    def _bindings(
+        self, entries, kind: IndexKind, check: FilterCheck | None = None
+    ) -> list[Binding]:
+        """Convert one peer's index postings to filtered bindings.
+
+        Deduplicates postings within ``entries`` (one peer's result); pass
+        one ``check`` to share filter verdicts across several peers' calls.
+        """
+        if check is None:
+            check = FilterCheck(self.filters)
         seen: set[tuple[str, str, Value]] = set()
         bindings: list[Binding] = []
         for entry in entries:
@@ -73,19 +82,16 @@ class _ScanBase(PhysicalOperator):
                 continue
             seen.add(identity)
             binding = match_pattern(self.pattern, posting.triple)
-            if binding is None:
-                continue
-            if all(satisfies(f, binding) for f in self.filters):
+            if binding is not None and check(binding):
                 bindings.append(binding)
         return bindings
 
     def _bindings_from_triples(self, triples: list[Triple]) -> list[Binding]:
+        check = FilterCheck(self.filters)
         bindings: list[Binding] = []
         for triple in triples:
             binding = match_pattern(self.pattern, triple)
-            if binding is None:
-                continue
-            if all(satisfies(f, binding) for f in self.filters):
+            if binding is not None and check(binding):
                 bindings.append(binding)
         return bindings
 
@@ -101,9 +107,10 @@ class _ScanBase(PhysicalOperator):
             )
         else:
             raise PlanningError(f"unknown range algorithm {algorithm!r}")
+        check = FilterCheck(self.filters)
         result_groups = []
         for peer_id, entries in groups:
-            bindings = self._bindings(entries, kind)
+            bindings = self._bindings(entries, kind, check)
             if bindings:
                 result_groups.append((peer_id, bindings))
         return OpResult(groups=result_groups, trace=trace, complete=complete)
@@ -361,6 +368,11 @@ class OidClusterScan(PhysicalOperator):
     and the combined bindings stay distributed — exactly what the ranking
     operators need for local pruning (paper: "efficient reproduction of
     origin data, as well as access to parts of special interest").
+
+    Each peer answers from its :class:`~repro.triples.local_index.TupleIndex`
+    and evaluates the star only on the OIDs of the most selective pattern's
+    candidate list, in ordinal order; the rows and their order are those of
+    evaluating every tuple.
     """
 
     patterns: tuple[TriplePattern, ...] = ()
@@ -380,40 +392,61 @@ class OidClusterScan(PhysicalOperator):
         groups, trace, complete = range_query_shower_groups(
             ctx.pnet, key_range, start=ctx.coordinator, rng=ctx.rng
         )
+        check = FilterCheck(self.filters)
         result_groups: list[tuple[str, list[Binding]]] = []
         for peer_id, entries in groups:
-            by_oid: dict[str, list[Triple]] = {}
-            seen: set[tuple[str, str, Value]] = set()
-            for entry in entries:
-                posting = entry.value
-                if not isinstance(posting, Posting) or posting.kind is not IndexKind.OID:
-                    continue
-                identity = posting.triple.as_tuple()
-                if identity in seen:
-                    continue
-                seen.add(identity)
-                by_oid.setdefault(posting.triple.oid, []).append(posting.triple)
+            index = tuple_index(ctx.pnet.net.nodes[peer_id].store, entries)
             bindings: list[Binding] = []
-            for _oid, triples in by_oid.items():
-                bindings.extend(self._evaluate_star(triples))
+            for oid in self._candidates(index, check):
+                bindings.extend(self._evaluate_star(index, oid, check))
             if bindings:
                 result_groups.append((peer_id, bindings))
         return OpResult(groups=result_groups, trace=trace, complete=complete)
 
-    def _evaluate_star(self, triples: list[Triple]) -> list[Binding]:
+    def _candidates(self, index: TupleIndex, check: FilterCheck) -> Collection[str]:
+        """The OIDs that can match, in ordinal order: the shortest candidate list.
+
+        A pattern with a literal predicate can only match tuples holding that
+        attribute — with the literal object as a value, or with a value that
+        passes the filters on the object variable.  Patterns with a variable
+        predicate restrict nothing.
+        """
+        shortest: Collection[str] = index.triples
+        for pattern in self.patterns:
+            if not isinstance(pattern.predicate, Literal):
+                continue
+            values = index.values.get(pattern.predicate.value, {})
+            object_ = pattern.object
+            if isinstance(object_, Literal):
+                candidates = values.get(object_.value, [])
+            elif check.constrains(object_.name):
+                passing = {
+                    oid
+                    for value, oids in values.items()
+                    if check.value_passes(object_.name, value)
+                    for oid in oids
+                }
+                candidates = sorted(passing, key=index.ordinal.__getitem__)
+            else:
+                candidates = index.by_attribute.get(pattern.predicate.value, [])
+            if len(candidates) < len(shortest):
+                shortest = candidates
+        return shortest
+
+    def _evaluate_star(self, index: TupleIndex, oid: str, check: FilterCheck) -> list[Binding]:
         """Local BGP evaluation over one tuple's triples.
 
         A pattern with a literal predicate is unified only against the
         triples of that attribute (in their original order).
         """
-        by_attribute: dict[str, list[Triple]] = {}
-        for triple in triples:
-            by_attribute.setdefault(triple.attribute, []).append(triple)
+        by_attribute = index.attributes[oid]
         partial: list[Binding] = [{}]
         for pattern in self.patterns:
             predicate = pattern.predicate
             candidates = (
-                by_attribute.get(predicate.value, []) if isinstance(predicate, Literal) else triples
+                by_attribute.get(predicate.value, [])
+                if isinstance(predicate, Literal)
+                else index.triples[oid]
             )
             matches = [b for t in candidates if (b := match_pattern(pattern, t)) is not None]
             if not matches:
@@ -428,7 +461,7 @@ class OidClusterScan(PhysicalOperator):
             partial = merged
             if not partial:
                 return []
-        return [b for b in partial if all(satisfies(f, b) for f in self.filters)]
+        return [b for b in partial if check(b)]
 
     def _label(self) -> str:
         star = " ".join(str(p) for p in self.patterns)

@@ -95,6 +95,37 @@ class TestPutGet:
         assert len(store) == 0 and store.keys() == []
 
 
+class TestRevision:
+    def test_moves_on_every_change(self):
+        store = DataStore()
+        revisions = [store.revision]
+
+        def changed():
+            revisions.append(store.revision)
+            return revisions[-1] != revisions[-2]
+
+        assert store.put(_entry("01", "a")) and changed()  # new key
+        assert store.put(_entry("01", "b")) and changed()  # new item under a key
+        assert store.put(_entry("01", "a", version=1)) and changed()  # newer version
+        assert store.delete("01", "b") and changed()
+        assert store.retain(lambda e: e.key != "01") == 1 and changed()
+        store.put(_entry("10"))
+        changed()
+        store.clear()
+        assert changed()
+
+    def test_still_on_no_op_calls(self):
+        store = DataStore()
+        store.put(_entry("01", "a", version=2))
+        before = store.revision
+        assert not store.put(_entry("01", "a", version=2))  # same version
+        assert not store.put(_entry("01", "a", version=1))  # older version
+        assert not store.delete("01", "missing")
+        assert not store.delete("11", "a")
+        assert store.retain(lambda e: True) == 0
+        assert store.revision == before
+
+
 class TestScan:
     def test_scan_subtree(self):
         store = DataStore()
