@@ -113,6 +113,45 @@ def evaluate(expr: Expression, binding: Binding) -> Any:
     raise TypeError(f"not an expression: {expr!r}")
 
 
+def replace_terms(expr: Expression, old: tuple[Expression, ...], new: Expression) -> Expression:
+    """``expr`` with every subexpression equal to one of ``old`` replaced by ``new``."""
+    if expr in old:
+        return new
+    if isinstance(expr, Comparison):
+        return Comparison(
+            expr.op, replace_terms(expr.left, old, new), replace_terms(expr.right, old, new)
+        )
+    if isinstance(expr, BoolOp):
+        return BoolOp(expr.op, tuple(replace_terms(o, old, new) for o in expr.operands))
+    if isinstance(expr, Not):
+        return Not(replace_terms(expr.operand, old, new))
+    if isinstance(expr, FunctionCall):
+        return FunctionCall(expr.name, tuple(replace_terms(a, old, new) for a in expr.args))
+    return expr
+
+
+def check_functions(expr: Expression) -> None:
+    """Raise :class:`VQLError` naming the first function ``expr`` calls that
+    is not built in, so a query fails before it runs rather than on the
+    first row that reaches the call."""
+    if isinstance(expr, FunctionCall) and expr.name not in FUNCTIONS:
+        raise VQLError(f"unknown function {expr.name!r}")
+    for operand in _operands(expr):
+        check_functions(operand)
+
+
+def _operands(expr: Expression) -> tuple[Expression, ...]:
+    if isinstance(expr, Comparison):
+        return (expr.left, expr.right)
+    if isinstance(expr, BoolOp):
+        return expr.operands
+    if isinstance(expr, Not):
+        return (expr.operand,)
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    return ()
+
+
 def satisfies(expr: Expression, binding: Binding) -> bool:
     """Filter semantics: true iff the expression evaluates to a truthy value."""
     return _truthy(evaluate(expr, binding))

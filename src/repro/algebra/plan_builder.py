@@ -17,6 +17,7 @@ cost-based reordering with statistics happens later in the optimizer.
 from __future__ import annotations
 
 from repro.errors import PlanningError
+from repro.algebra.expressions import check_functions
 from repro.algebra.operators import (
     Join,
     LeftJoin,
@@ -59,6 +60,7 @@ def build_group(group: GroupPattern) -> LogicalPlan:
     for pattern in ordered[1:]:
         plan = Join(plan, PatternScan(pattern))
     for expr in group.filters:
+        check_functions(expr)
         plan = Selection(plan, expr)
     for optional in group.optionals:
         plan = LeftJoin(plan, build_group(optional))

@@ -29,10 +29,6 @@ class RoutingError(UniStoreError):
     """Raised when overlay routing cannot make progress towards a key."""
 
 
-class OverlayError(UniStoreError):
-    """Raised for structural problems in an overlay network."""
-
-
 class StorageError(UniStoreError):
     """Raised by the triple storage layer."""
 

@@ -32,16 +32,11 @@ from repro.errors import ExecutionError
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
 from repro.algebra.operators import PatternScan
-from repro.algebra.semantics import (
-    Binding,
-    join_key,
-    merge_bindings,
-)
+from repro.algebra.semantics import Binding, compatible, join_key, merge_bindings
 from repro.mqp.plan import MutantQueryPlan
 from repro.optimizer.adaptive import Step, choose_next_step
 from repro.optimizer.cost_model import CostModel
-from repro.physical.base import ExecutionContext, FilterCheck, match_postings
-from repro.triples.index import IndexKind, av_key, oid_key, v_key
+from repro.physical.base import ExecutionContext, probe_join
 from repro.vql.ast import Expression, expression_variables
 
 
@@ -106,49 +101,17 @@ def execute_mutant_plan(
 
 
 def _probe(ctx: ExecutionContext, plan: MutantQueryPlan, step: Step) -> Trace:
-    """Index probes for every distinct bound value, batched by destination.
-
-    All probe keys go through one :meth:`PGridNetwork.lookup_many`, so keys
-    whose responsible regions coincide share a single route and reply
-    instead of one O(log N) lookup each.
-    """
+    """Index probes for every distinct bound value, batched by destination."""
     assert plan.bindings is not None and step.shared_variable is not None
-    pattern = step.scan.pattern
-    holder = ctx.pnet.net.nodes[plan.location]
-    variable = step.shared_variable
-    values = {row[variable] for row in plan.bindings if variable in row}
-
-    key_for_value: dict[object, tuple[str, IndexKind]] = {}
-    for value in values:
-        if step.method == "probe-oid":
-            # OIDs are strings; coerce like oid_key's other call sites so a
-            # numeric join value probes the same key instead of being dropped.
-            key_for_value[value] = (oid_key(str(value)), IndexKind.OID)
-        elif step.method == "probe-av":
-            key_for_value[value] = (
-                av_key(str(pattern.predicate.value), value),  # type: ignore[union-attr]
-                IndexKind.AV,
-            )
-        else:  # probe-v
-            key_for_value[value] = (v_key(value), IndexKind.V)
-
-    entries_by_key, trace = ctx.pnet.lookup_many(
-        [key for key, _kind in key_for_value.values()], start=holder, kind="mqp-probe"
+    plan.bindings, trace = probe_join(
+        ctx,
+        plan.bindings,
+        step.scan.pattern,
+        step.scan.filters,
+        step.shared_variable,
+        ctx.pnet.net.nodes[plan.location],
+        "mqp-probe",
     )
-
-    matches_by_value: dict[object, list[Binding]] = {}
-    check = FilterCheck(step.scan.filters)
-    for value, (key, kind) in key_for_value.items():
-        matches_by_value[value] = match_postings(
-            entries_by_key.get(key, []), pattern, kind, variable, value, check
-        )
-
-    joined: list[Binding] = []
-    for row in plan.bindings:
-        for match in matches_by_value.get(row.get(variable), ()):
-            if all(match.get(k, v) == v for k, v in row.items() if k in match):
-                joined.append(merge_bindings(row, match))
-    plan.bindings = joined
     return trace
 
 
@@ -221,6 +184,6 @@ def _local_join(
     joined: list[Binding] = []
     for row in right_rows:
         for match in table.get(join_key(row, shared), ()):
-            if all(row.get(k, v) == v for k, v in match.items() if k in row):
+            if compatible(match, row):
                 joined.append(merge_bindings(match, row))
     return joined

@@ -28,7 +28,6 @@ from repro.net.latency import (
     UniformLatency,
     ZeroLatency,
 )
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.scheduler import Delivery, EventScheduler
@@ -39,7 +38,6 @@ from repro.net.trace import Trace
 __all__ = [
     "Network",
     "Node",
-    "Message",
     "Trace",
     "NetworkStats",
     "StatsFrame",

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from repro.algebra.operators import PatternScan
 from repro.algebra.semantics import Binding
 from repro.optimizer.cost_model import CostModel
-from repro.vql.ast import Literal, Var
+from repro.triples.index import probe_index, probe_variable
+from repro.vql.ast import Literal
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,12 @@ def _cost_step(
     stats = model.stats
 
     # Probing is possible when a bound variable sits in the subject or the
-    # object (with literal predicate / via the v index).
-    if bindings is not None:
-        if isinstance(pattern.subject, Var) and pattern.subject.name in bound_variables:
-            distinct = _distinct_count(bindings, pattern.subject.name)
-            cost = model.parallel_lookups(distinct)
-            return Step(scan, "probe-oid", pattern.subject.name, model.value(cost))
-        if isinstance(pattern.object, Var) and pattern.object.name in bound_variables:
-            distinct = _distinct_count(bindings, pattern.object.name)
-            cost = model.parallel_lookups(distinct)
-            method = "probe-av" if isinstance(pattern.predicate, Literal) else "probe-v"
-            return Step(scan, method, pattern.object.name, model.value(cost))
+    # object; the index it probes names the step.
+    variable = probe_variable(pattern, bound_variables) if bindings is not None else None
+    if variable is not None:
+        cost = model.parallel_lookups(len({row[variable] for row in bindings if variable in row}))
+        method = "probe-" + probe_index(pattern, variable).value  # type: ignore[union-attr]
+        return Step(scan, method, variable, model.value(cost))
 
     # Otherwise: evaluate the pattern with its best standalone access path
     # and migrate the plan (carrying |bindings| rows) into that region.
@@ -92,7 +88,3 @@ def _cost_step(
     carried = len(bindings) if bindings else 0
     migrate = model.ship_rows(max(1, carried))
     return Step(scan, "scan", None, model.value(access.then(migrate)))
-
-
-def _distinct_count(bindings: list[Binding], variable: str) -> int:
-    return len({row.get(variable) for row in bindings if variable in row})

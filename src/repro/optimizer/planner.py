@@ -37,21 +37,17 @@ from repro.algebra.operators import (
 from repro.optimizer.cost_model import Cost, CostModel
 from repro.optimizer.statistics import CatalogStatistics
 from repro.physical import (
-    AttributeScan,
-    OidClusterScan,
-    AvLookupScan,
-    AvPrefixScan,
-    AvRangeScan,
-    BroadcastScan,
     CollectOp,
     DifferenceOp,
     FilterOp,
+    IndexLookup,
     IndexNestedLoopJoin,
+    IndexRange,
     IntersectionOp,
     LeftJoinOp,
     LimitOp,
     NaiveSimilarityJoin,
-    OidLookupScan,
+    OidClusterScan,
     PhysicalOperator,
     ProjectOp,
     QGramScan,
@@ -62,9 +58,20 @@ from repro.physical import (
     SortOp,
     TopNOp,
     UnionOp,
-    VLookupScan,
-    VPrefixScan,
-    VRangeScan,
+)
+from repro.pgrid.keys import KeyRange
+from repro.triples.index import (
+    INDEX_TAG,
+    IndexKind,
+    av_attribute_range,
+    av_key,
+    av_string_prefix_range,
+    av_value_range,
+    oid_key,
+    probe_index,
+    v_key,
+    v_string_prefix_range,
+    v_value_range,
 )
 from repro.vql.ast import Literal, TriplePattern, Var
 
@@ -244,7 +251,13 @@ class Planner:
 
         if subject_lit:
             rows = self.stats.estimate_pattern(pattern)
-            return Planned(OidLookupScan(pattern, filters), self.model.lookup(), rows=rows)
+            # OIDs are strings: a non-string subject probes a key and matches nothing.
+            key = oid_key(str(pattern.subject.value))  # type: ignore[union-attr]
+            return Planned(
+                IndexLookup(pattern, filters, IndexKind.OID, key, "oid-lookup"),
+                self.model.lookup(),
+                rows=rows,
+            )
 
         if predicate_lit:
             attribute = str(pattern.predicate.value)  # type: ignore[union-attr]
@@ -253,7 +266,12 @@ class Planner:
 
             if object_lit:
                 rows = attr_count * self.stats.eq_selectivity(attribute)
-                return Planned(AvLookupScan(pattern, filters), self.model.lookup(), rows=rows)
+                key = av_key(attribute, pattern.object.value)  # type: ignore[union-attr]
+                return Planned(
+                    IndexLookup(pattern, filters, IndexKind.AV, key, "av-lookup"),
+                    self.model.lookup(),
+                    rows=rows,
+                )
 
             # Constraints on the object variable refine the A#v access path.
             eq = _equality_value(constraints, object_var)
@@ -261,8 +279,9 @@ class Planner:
                 # An equality filter pins the A#v key; scan the single-point
                 # range so the variable still gets bound from the triples.
                 rows = attr_count * self.stats.eq_selectivity(attribute)
+                key_range = av_value_range(attribute, eq, eq)
                 return Planned(
-                    AvRangeScan(pattern, filters, low=eq, high=eq, algorithm=algorithm),
+                    IndexRange(pattern, filters, IndexKind.AV, key_range, "av-range", algorithm),
                     self.model.lookup(),
                     rows=rows,
                 )
@@ -289,8 +308,9 @@ class Planner:
             if prefix is not None and prefix.prefix:
                 fraction = (attr_count / total) * 0.1
                 cost = self.model.range_scan(fraction, algorithm or "shower", attr_count * 0.1)
+                key_range = av_string_prefix_range(attribute, prefix.prefix)
                 return Planned(
-                    AvPrefixScan(pattern, filters, prefix=prefix.prefix, algorithm=algorithm),
+                    IndexRange(pattern, filters, IndexKind.AV, key_range, "av-prefix", algorithm),
                     cost,
                     rows=attr_count * 0.1,
                     producers=self.stats.expected_leaves(fraction),
@@ -302,16 +322,9 @@ class Planner:
                 fraction = (attr_count / total) * max(selectivity, 1e-6)
                 rows = attr_count * selectivity
                 cost = self.model.range_scan(fraction, algorithm or "shower", rows)
+                key_range = av_value_range(attribute, low, high, low_inc, high_inc)
                 return Planned(
-                    AvRangeScan(
-                        pattern,
-                        filters,
-                        low=low,
-                        high=high,
-                        low_inclusive=low_inc,
-                        high_inclusive=high_inc,
-                        algorithm=algorithm,
-                    ),
+                    IndexRange(pattern, filters, IndexKind.AV, key_range, "av-range", algorithm),
                     cost,
                     rows=rows,
                     producers=self.stats.expected_leaves(fraction),
@@ -319,8 +332,9 @@ class Planner:
 
             fraction = attr_count / total
             cost = self.model.range_scan(fraction, algorithm or "shower", attr_count)
+            key_range = av_attribute_range(attribute)
             return Planned(
-                AttributeScan(pattern, filters, algorithm=algorithm),
+                IndexRange(pattern, filters, IndexKind.AV, key_range, "attribute-scan", algorithm),
                 cost,
                 rows=float(attr_count),
                 producers=self.stats.expected_leaves(fraction),
@@ -328,15 +342,21 @@ class Planner:
 
         if object_lit:
             rows = self.stats.estimate_pattern(pattern)
-            return Planned(VLookupScan(pattern, filters), self.model.lookup(), rows=rows)
+            key = v_key(pattern.object.value)  # type: ignore[union-attr]
+            return Planned(
+                IndexLookup(pattern, filters, IndexKind.V, key, "v-lookup"),
+                self.model.lookup(),
+                rows=rows,
+            )
 
         if object_var is not None:
             prefix = _prefix_constraint(constraints, object_var)
             if prefix is not None and prefix.prefix:
                 fraction = 0.05
                 cost = self.model.range_scan(fraction, algorithm or "shower", 10)
+                key_range = v_string_prefix_range(prefix.prefix)
                 return Planned(
-                    VPrefixScan(pattern, filters, prefix=prefix.prefix, algorithm=algorithm),
+                    IndexRange(pattern, filters, IndexKind.V, key_range, "v-prefix", algorithm),
                     cost,
                     rows=self.stats.total_triples * 0.05,
                     producers=self.stats.expected_leaves(fraction),
@@ -345,16 +365,9 @@ class Planner:
             if low is not None or high is not None:
                 fraction = 0.2
                 cost = self.model.range_scan(fraction, algorithm or "shower", 10)
+                key_range = v_value_range(low, high, low_inc, high_inc)
                 return Planned(
-                    VRangeScan(
-                        pattern,
-                        filters,
-                        low=low,
-                        high=high,
-                        low_inclusive=low_inc,
-                        high_inclusive=high_inc,
-                        algorithm=algorithm,
-                    ),
+                    IndexRange(pattern, filters, IndexKind.V, key_range, "v-range", algorithm),
                     cost,
                     rows=self.stats.total_triples * 0.2,
                     producers=self.stats.expected_leaves(fraction),
@@ -362,8 +375,9 @@ class Planner:
 
         fraction = 1.0
         cost = self.model.range_scan(fraction, algorithm or "shower", self.stats.total_triples)
+        key_range = KeyRange.subtree(INDEX_TAG[IndexKind.AV])
         return Planned(
-            BroadcastScan(pattern, filters, algorithm=algorithm),
+            IndexRange(pattern, filters, IndexKind.AV, key_range, "broadcast", algorithm),
             cost,
             rows=float(self.stats.total_triples),
             producers=float(self.stats.num_groups),
@@ -418,7 +432,11 @@ class Planner:
 
         # Strategy 2: index nested loop — right side must be a bare pattern.
         right_scan = _as_pattern_scan(node.right)
-        if right_scan is not None and shared and _index_nl_applicable(right_scan.pattern, shared):
+        if (
+            right_scan is not None
+            and len(shared) == 1
+            and probe_index(right_scan.pattern, shared[0]) is not None
+        ):
             probes = max(1.0, left.rows)
             nl_cost = left.cost.then(
                 self.model.ship_rows(left.rows, left.producers)
@@ -561,18 +579,6 @@ def _as_pattern_scan(node: LogicalPlan) -> PatternScan | None:
         scan = node.child
         return PatternScan(scan.pattern, scan.filters + (node.predicate,))
     return None
-
-
-def _index_nl_applicable(pattern: TriplePattern, shared: list[str]) -> bool:
-    """The shared variable must be probe-able via an index on the right side."""
-    if len(shared) != 1:
-        return False
-    name = shared[0]
-    if isinstance(pattern.subject, Var) and pattern.subject.name == name:
-        return True
-    if isinstance(pattern.object, Var) and pattern.object.name == name:
-        return True
-    return False
 
 
 def _equality_value(constraints, variable: str | None):

@@ -14,11 +14,6 @@ from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 
 
-def replica_groups(pnet: PGridNetwork) -> dict[str, list[PGridPeer]]:
-    """Replica groups keyed by path (alias of the facade's global view)."""
-    return pnet.leaf_groups()
-
-
 def online_group(peer: PGridPeer) -> list[PGridPeer]:
     """``peer`` plus its online replicas, sorted by node id.
 

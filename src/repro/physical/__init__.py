@@ -19,36 +19,17 @@ from repro.physical.misc import (
     UnionOp,
 )
 from repro.physical.ranking import SkylineOp, TopNOp
-from repro.physical.scans import (
-    AttributeScan,
-    AvLookupScan,
-    AvPrefixScan,
-    AvRangeScan,
-    BroadcastScan,
-    OidClusterScan,
-    OidLookupScan,
-    QGramScan,
-    VLookupScan,
-    VPrefixScan,
-    VRangeScan,
-)
+from repro.physical.scans import IndexLookup, IndexRange, OidClusterScan, QGramScan
 from repro.physical.simops import NaiveSimilarityJoin, QGramSimilarityJoin
 
 __all__ = [
     "ExecutionContext",
     "OpResult",
     "PhysicalOperator",
-    "OidLookupScan",
+    "IndexLookup",
+    "IndexRange",
     "OidClusterScan",
-    "AvLookupScan",
-    "AvRangeScan",
-    "AvPrefixScan",
-    "AttributeScan",
-    "VLookupScan",
-    "VRangeScan",
-    "VPrefixScan",
     "QGramScan",
-    "BroadcastScan",
     "ShipJoin",
     "IndexNestedLoopJoin",
     "RehashJoin",

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
-from repro.algebra.semantics import Binding, match_pattern
+from repro.algebra.semantics import Binding, compatible, match_pattern, merge_bindings
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
-from repro.triples.index import IndexKind
+from repro.triples.index import IndexKind, probe_key
 from repro.triples.store import DistributedTripleStore, Posting
 from repro.vql.ast import Expression, TriplePattern, expression_variables
 
@@ -129,6 +129,13 @@ class FilterCheck:
             if name == variable
         )
 
+    def settle(self, expr: Expression, value, verdict: bool) -> None:
+        """Record ``expr``'s verdict for ``value`` of its only variable, known
+        to the caller without evaluating ``expr``."""
+        for step_expr, variable, verdicts in self._steps:
+            if step_expr is expr and variable is not None:
+                verdicts[value] = verdict
+
     @staticmethod
     def _verdict(expr: Expression, variable: str, verdicts: dict, value) -> bool:
         verdict = verdicts.get(value)
@@ -149,13 +156,11 @@ def match_postings(
 
     Deduplicates postings, unifies them against ``pattern``, keeps only
     matches whose ``variable`` equals the probed ``value`` and that pass
-    ``check``.  OID probes compare against ``str(value)`` (OIDs are
-    strings) but keep the caller's original join value in the binding, so a
-    non-string join value still unifies with the row that produced it.
+    ``check``.  Equality is the join's own, so a non-string value probing
+    the OID index under its string form matches no OID, exactly as in the
+    reference executor.
 
-    Shared by the index-nested-loop join and the MQP probe step — the two
-    per-value probe paths — so their matching semantics cannot drift.  Both
-    pass one ``check`` for all their probe values.
+    Called by :func:`probe_join` with one ``check`` for all probe values.
     """
     matches: list[Binding] = []
     seen: set = set()
@@ -168,17 +173,52 @@ def match_postings(
             continue
         seen.add(identity)
         binding = match_pattern(pattern, posting.triple)
-        if binding is None:
-            continue
-        if kind is IndexKind.OID:
-            if binding.get(variable) != str(value):
-                continue
-            binding = {**binding, variable: value}
-        elif binding.get(variable) != value:
+        if binding is None or binding.get(variable) != value:
             continue
         if check(binding):
             matches.append(binding)
     return matches
+
+
+def probe_join(
+    ctx: ExecutionContext,
+    rows: list[Binding],
+    pattern: TriplePattern,
+    filters: tuple[Expression, ...],
+    variable: str,
+    start: PGridPeer,
+    message_kind: str,
+) -> tuple[list[Binding], Trace]:
+    """Join ``rows`` with ``pattern`` by probing its index once per distinct
+    value of ``variable`` (:func:`~repro.triples.index.probe_key`).
+
+    All probe keys go through one :meth:`PGridNetwork.lookup_many` from
+    ``start``, so keys whose responsible regions coincide share a route and
+    a reply.  The index-nested-loop join and the MQP probe step both run
+    this, so their probes and matching cannot drift.
+    """
+    keys = {
+        value: probe_key(pattern, variable, value)
+        for value in {row[variable] for row in rows if variable in row}
+    }
+    entries_by_key: dict[str, list] = {}
+    trace = Trace.ZERO
+    if keys:
+        entries_by_key, trace = ctx.pnet.lookup_many(
+            [key for key, _index in keys.values()], start=start, kind=message_kind
+        )
+    check = FilterCheck(filters)
+    matches = {
+        value: match_postings(entries_by_key.get(key, []), pattern, index, variable, value, check)
+        for value, (key, index) in keys.items()
+    }
+    joined = [
+        merge_bindings(row, match)
+        for row in rows
+        for match in matches.get(row.get(variable), ())
+        if compatible(row, match)
+    ]
+    return joined, trace
 
 
 class PhysicalOperator(ABC):

@@ -30,21 +30,11 @@ from dataclasses import dataclass
 
 from repro.errors import PlanningError, RoutingError
 from repro.net.trace import Trace
-from repro.algebra.semantics import (
-    Binding,
-    join_key,
-    merge_bindings,
-)
-from repro.physical.base import (
-    ExecutionContext,
-    FilterCheck,
-    OpResult,
-    PhysicalOperator,
-    match_postings,
-)
+from repro.algebra.semantics import Binding, compatible, join_key, merge_bindings
+from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, probe_join
 from repro.pgrid.routing import point_key, replay_hops, route_hops
-from repro.triples.index import IndexKind, av_key, oid_key, v_key
-from repro.vql.ast import Expression, Literal, TriplePattern, Var
+from repro.triples.index import probe_variable, v_key
+from repro.vql.ast import Expression, TriplePattern
 
 
 @dataclass
@@ -92,9 +82,9 @@ class IndexNestedLoopJoin(_JoinBase):
     """Left side runs; right side is resolved by per-value index lookups.
 
     ``right`` must be a *pattern spec* — this strategy does not execute the
-    right operator; it consults the right pattern's index directly.  The
-    shared variable must appear in the right pattern's subject (OID lookup)
-    or object with literal predicate (A#v lookup) or object alone (v lookup).
+    right operator; it probes the right pattern's index directly
+    (:func:`~repro.triples.index.probe_key`), so the shared variable must be
+    the right pattern's subject or object.
     """
 
     right_pattern: TriplePattern | None = None
@@ -111,66 +101,27 @@ class IndexNestedLoopJoin(_JoinBase):
             # An empty outer side joins to nothing; there is no position to
             # probe (and no need to).
             return OpResult([], left_result.trace, left_result.complete)
-        pattern = self.right_pattern
-        position, shared_name = self._lookup_position(pattern, left_rows)
-
-        joined: list[Binding] = []
-        cache: dict[object, list[Binding]] = {}
-        key_for_value: dict[object, tuple[str, IndexKind]] = {}
-        for value in {row.get(shared_name) for row in left_rows if shared_name in row}:
-            key, kind = self._index_key(pattern, position, value)
-            if key is None:
-                cache[value] = []
-                continue
-            key_for_value[value] = (key, kind)
-        # One destination-grouped multi-key lookup instead of a routed
-        # lookup per distinct value — probes to the same region share a route.
-        probe_trace = Trace.ZERO
-        entries_by_key: dict[str, list] = {}
-        if key_for_value:
-            entries_by_key, probe_trace = ctx.pnet.lookup_many(
-                [key for key, _kind in key_for_value.values()],
-                start=ctx.coordinator,
-                kind="join-lookup",
+        left_vars = set().union(*(set(b) for b in left_rows))
+        variable = probe_variable(self.right_pattern, left_vars)
+        if variable is None:
+            raise PlanningError(
+                "IndexNestedLoopJoin: shared variable must be the right pattern's "
+                "subject or object"
             )
-        check = FilterCheck(self.right_filters)
-        for value, (key, kind) in key_for_value.items():
-            cache[value] = match_postings(
-                entries_by_key.get(key, []), pattern, kind, shared_name, value, check
-            )
-        for row in left_rows:
-            for match in cache.get(row.get(shared_name), ()):
-                if _consistent(row, match):
-                    joined.append(merge_bindings(row, match))
-        trace = left_result.trace.then(probe_trace)
+        joined, probe_trace = probe_join(
+            ctx,
+            left_rows,
+            self.right_pattern,
+            self.right_filters,
+            variable,
+            ctx.coordinator,
+            "join-lookup",
+        )
         return OpResult(
             groups=[(ctx.coordinator.node_id, joined)] if joined else [],
-            trace=trace,
+            trace=left_result.trace.then(probe_trace),
             complete=left_result.complete,
         )
-
-    def _lookup_position(self, pattern: TriplePattern, left_rows: list[Binding]) -> tuple[str, str]:
-        """Which position of the right pattern the shared variable sits in."""
-        left_vars = set().union(*(set(b) for b in left_rows)) if left_rows else set()
-        if isinstance(pattern.subject, Var) and pattern.subject.name in left_vars:
-            return "subject", pattern.subject.name
-        if isinstance(pattern.object, Var) and pattern.object.name in left_vars:
-            return "object", pattern.object.name
-        raise PlanningError(
-            "IndexNestedLoopJoin: shared variable must be the right pattern's "
-            "subject or object"
-        )
-
-    def _index_key(
-        self, pattern: TriplePattern, position: str, value
-    ) -> tuple[str | None, IndexKind]:
-        if position == "subject":
-            # OIDs are strings; coerce like the MQP probe so non-string join
-            # values probe the same key instead of being dropped.
-            return oid_key(str(value)), IndexKind.OID
-        if isinstance(pattern.predicate, Literal):
-            return av_key(str(pattern.predicate.value), value), IndexKind.AV
-        return v_key(value), IndexKind.V
 
     def _label(self) -> str:
         return f"IndexNestedLoopJoin[{self.right_pattern}]"
@@ -313,10 +264,6 @@ def _rendezvous_value(value_key: tuple) -> str:
     return "\x03".join(repr(v) for v in value_key)
 
 
-def _consistent(a: Binding, b: Binding) -> bool:
-    return all(b.get(name, value) == value for name, value in a.items() if name in b)
-
-
 def _hash_join(
     left_rows: list[Binding], right_rows: list[Binding], shared: list[str]
 ) -> list[Binding]:
@@ -330,6 +277,6 @@ def _hash_join(
     result: list[Binding] = []
     for row in right_rows:
         for match in table.get(join_key(row, shared), ()):
-            if _consistent(match, row):
+            if compatible(match, row):
                 result.append(merge_bindings(match, row))
     return result

@@ -1,21 +1,29 @@
-"""Physical scan strategies for one triple pattern.
+"""Physical scans of one triple pattern.
 
-Which scans are *applicable* depends on the pattern's bound positions (the
-paper's three indexes, §2); which is *chosen* is the optimizer's job:
+The paper's three indexes (§2) answer a pattern in one of two access
+shapes: an exact key lookup (:class:`IndexLookup`) or a key-range walk,
+shower or sequential (:class:`IndexRange`).  The planner picks the shape
+and computes its key or :class:`~repro.pgrid.keys.KeyRange` with a
+:mod:`repro.triples.index` function; the operator's ``strategy`` keeps the
+paper's name for the access path:
 
-=====================  ==========================================  ============
-strategy               applicable when                             index used
-=====================  ==========================================  ============
-OidLookupScan          subject literal                             OID
-AvLookupScan           predicate + object literals                 A#v (exact)
-AvRangeScan            predicate literal, range filter on object   A#v (range)
-AvPrefixScan           predicate literal, prefix filter on object  A#v (range)
-AttributeScan          predicate literal only                      A#v (subtree)
-VLookupScan            object literal, predicate variable          v   (exact)
-VRangeScan/VPrefixScan object variable w/ filter, predicate var    v   (range)
-QGramScan              predicate literal, edist filter on object   q-gram
-BroadcastScan          nothing bound                               A#v (full)
-=====================  ==========================================  ============
+==============  ======  ===========================  ==========================
+strategy        shape   answers a pattern with       key function
+==============  ======  ===========================  ==========================
+oid-lookup      lookup  subject literal              ``oid_key``
+av-lookup       lookup  predicate + object literals  ``av_key``
+v-lookup        lookup  object literal only          ``v_key``
+av-range        range   range or = filter on object  ``av_value_range``
+av-prefix       range   prefix filter on object      ``av_string_prefix_range``
+attribute-scan  range   predicate literal only       ``av_attribute_range``
+v-range         range   as av-range, predicate var   ``v_value_range``
+v-prefix        range   as av-prefix, predicate var  ``v_string_prefix_range``
+broadcast       range   nothing bound                the whole A#v subtree
+==============  ======  ===========================  ==========================
+
+Two scans have their own operators: :class:`QGramScan` (an ``edist``
+filter on the object, through the q-gram index) and :class:`OidClusterScan`
+(a star of patterns over one subject variable, through the OID index).
 
 All scans return bindings in produce form (grouped by serving peer) and apply
 their residual ``filters`` where the data lives, before anything is shipped.
@@ -23,12 +31,13 @@ their residual ``filters`` where the data lives, before anything is shipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection
 
 from repro.errors import PlanningError
 from repro.net.trace import Trace
-from repro.algebra.semantics import Binding, match_pattern
+from repro.algebra.expressions import replace_terms, satisfies
+from repro.algebra.semantics import Binding, compatible, match_pattern, merge_bindings
 from repro.physical.base import ExecutionContext, FilterCheck, OpResult, PhysicalOperator
 from repro.pgrid.keys import KeyRange
 from repro.pgrid.range_query import (
@@ -36,41 +45,39 @@ from repro.pgrid.range_query import (
     range_query_shower_groups,
 )
 from repro.strings import distinct_count_filter_threshold, edit_distance_within, qgrams
-from repro.triples.index import (
-    INDEX_TAG,
-    IndexKind,
-    av_key,
-    av_string_prefix_range,
-    av_value_range,
-    oid_key,
-    qgram_key,
-    v_key,
-    v_string_prefix_range,
-    v_value_range,
-)
+from repro.triples.index import INDEX_TAG, IndexKind, av_attribute_range, qgram_key
 from repro.triples.local_index import TupleIndex, tuple_index
 from repro.triples.store import Posting
 from repro.triples.triple import Triple, Value
-from repro.vql.ast import Expression, Literal, TriplePattern, Var
+from repro.vql.ast import Expression, FunctionCall, Literal, TriplePattern, Var
+
+#: Strategy -> the name ``explain()`` prints for an index scan.
+SCAN_NAMES = {
+    "oid-lookup": "OidLookupScan",
+    "av-lookup": "AvLookupScan",
+    "v-lookup": "VLookupScan",
+    "av-range": "AvRangeScan",
+    "av-prefix": "AvPrefixScan",
+    "attribute-scan": "AttributeScan",
+    "v-range": "VRangeScan",
+    "v-prefix": "VPrefixScan",
+    "broadcast": "BroadcastScan",
+}
 
 
 @dataclass
 class _ScanBase(PhysicalOperator):
-    """Shared binding-construction logic for all scans."""
+    """Binding construction shared by the single-pattern scans."""
 
     pattern: TriplePattern
-    filters: tuple[Expression, ...] = ()
+    filters: tuple[Expression, ...]
 
-    def _bindings(
-        self, entries, kind: IndexKind, check: FilterCheck | None = None
-    ) -> list[Binding]:
+    def _bindings(self, entries, kind: IndexKind, check: FilterCheck) -> list[Binding]:
         """Convert one peer's index postings to filtered bindings.
 
-        Deduplicates postings within ``entries`` (one peer's result); pass
-        one ``check`` to share filter verdicts across several peers' calls.
+        Deduplicates postings within ``entries`` (one peer's result); one
+        ``check`` shares filter verdicts across several peers' calls.
         """
-        if check is None:
-            check = FilterCheck(self.filters)
         seen: set[tuple[str, str, Value]] = set()
         bindings: list[Binding] = []
         for entry in entries:
@@ -86,205 +93,57 @@ class _ScanBase(PhysicalOperator):
                 bindings.append(binding)
         return bindings
 
-    def _bindings_from_triples(self, triples: list[Triple]) -> list[Binding]:
-        check = FilterCheck(self.filters)
-        bindings: list[Binding] = []
-        for triple in triples:
-            binding = match_pattern(self.pattern, triple)
-            if binding is not None and check(binding):
-                bindings.append(binding)
-        return bindings
+    def _label(self) -> str:
+        extra = f" | {' AND '.join(str(f) for f in self.filters)}" if self.filters else ""
+        return f"{SCAN_NAMES[self.strategy]} {self.pattern}{extra}"
 
-    def _range_groups(self, ctx: ExecutionContext, key_range: KeyRange, kind: IndexKind):
-        algorithm = getattr(self, "algorithm", None) or ctx.range_algorithm
+
+@dataclass
+class IndexLookup(_ScanBase):
+    """Exact lookup of one index key: every posting stored under ``key``."""
+
+    kind: IndexKind
+    key: str
+    strategy: str = field()  # required, not PhysicalOperator's ""
+
+    def execute(self, ctx: ExecutionContext) -> OpResult:
+        entries, trace, destination = ctx.pnet.lookup_at(self.key, start=ctx.coordinator)
+        bindings = self._bindings(entries, self.kind, FilterCheck(self.filters))
+        groups = [(destination.node_id, bindings)] if bindings else []
+        return OpResult(groups=groups, trace=trace)
+
+
+@dataclass
+class IndexRange(_ScanBase):
+    """Range walk over ``key_range`` of one index, shower or sequential."""
+
+    kind: IndexKind
+    key_range: KeyRange
+    strategy: str = field()  # required, not PhysicalOperator's ""
+    algorithm: str | None = None  # None = context default
+
+    def execute(self, ctx: ExecutionContext) -> OpResult:
+        algorithm = self.algorithm or ctx.range_algorithm
         if algorithm == "shower":
             groups, trace, complete = range_query_shower_groups(
-                ctx.pnet, key_range, start=ctx.coordinator, rng=ctx.rng
+                ctx.pnet, self.key_range, start=ctx.coordinator, rng=ctx.rng
             )
         elif algorithm == "sequential":
             groups, trace, complete = range_query_sequential_groups(
-                ctx.pnet, key_range, start=ctx.coordinator, rng=ctx.rng
+                ctx.pnet, self.key_range, start=ctx.coordinator, rng=ctx.rng
             )
         else:
             raise PlanningError(f"unknown range algorithm {algorithm!r}")
         check = FilterCheck(self.filters)
         result_groups = []
         for peer_id, entries in groups:
-            bindings = self._bindings(entries, kind, check)
+            bindings = self._bindings(entries, self.kind, check)
             if bindings:
                 result_groups.append((peer_id, bindings))
         return OpResult(groups=result_groups, trace=trace, complete=complete)
 
     def _label(self) -> str:
-        extra = f" | {' AND '.join(str(f) for f in self.filters)}" if self.filters else ""
-        return f"{type(self).__name__} {self.pattern}{extra}"
-
-
-@dataclass
-class OidLookupScan(_ScanBase):
-    """Exact lookup by subject OID ("efficient reproduction of origin data")."""
-
-    strategy = "oid-lookup"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        subject = self.pattern.subject
-        if not isinstance(subject, Literal) or not isinstance(subject.value, str):
-            raise PlanningError("OidLookupScan needs a string subject literal")
-        entries, trace, destination = ctx.pnet.lookup_at(
-            oid_key(subject.value), start=ctx.coordinator
-        )
-        bindings = self._bindings(entries, IndexKind.OID)
-        groups = [(destination.node_id, bindings)] if bindings else []
-        return OpResult(groups=groups, trace=trace)
-
-
-@dataclass
-class AvLookupScan(_ScanBase):
-    """Exact lookup on the A#v index (predicate and object bound)."""
-
-    strategy = "av-lookup"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        predicate, object_ = self.pattern.predicate, self.pattern.object
-        if not isinstance(predicate, Literal) or not isinstance(object_, Literal):
-            raise PlanningError("AvLookupScan needs literal predicate and object")
-        entries, trace, destination = ctx.pnet.lookup_at(
-            av_key(str(predicate.value), object_.value), start=ctx.coordinator
-        )
-        bindings = self._bindings(entries, IndexKind.AV)
-        groups = [(destination.node_id, bindings)] if bindings else []
-        return OpResult(groups=groups, trace=trace)
-
-
-@dataclass
-class AvRangeScan(_ScanBase):
-    """Range scan on the A#v index: ``low <op> attribute <op> high``."""
-
-    low: Value | None = None
-    high: Value | None = None
-    low_inclusive: bool = True
-    high_inclusive: bool = True
-    algorithm: str | None = None  # None = context default
-
-    strategy = "av-range"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        predicate = self.pattern.predicate
-        if not isinstance(predicate, Literal):
-            raise PlanningError("AvRangeScan needs a literal predicate")
-        key_range = av_value_range(
-            str(predicate.value), self.low, self.high, self.low_inclusive, self.high_inclusive
-        )
-        return self._range_groups(ctx, key_range, IndexKind.AV)
-
-    def _label(self) -> str:
-        lo_bracket = "[" if self.low_inclusive else "("
-        hi_bracket = "]" if self.high_inclusive else ")"
-        return (
-            f"AvRangeScan {self.pattern} "
-            f"{lo_bracket}{self.low}, {self.high}{hi_bracket}"
-            + (f" alg={self.algorithm}" if self.algorithm else "")
-        )
-
-
-@dataclass
-class AvPrefixScan(_ScanBase):
-    """Prefix scan over string values of one attribute."""
-
-    prefix: str = ""
-    algorithm: str | None = None
-
-    strategy = "av-prefix"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        predicate = self.pattern.predicate
-        if not isinstance(predicate, Literal):
-            raise PlanningError("AvPrefixScan needs a literal predicate")
-        key_range = av_string_prefix_range(str(predicate.value), self.prefix)
-        return self._range_groups(ctx, key_range, IndexKind.AV)
-
-
-@dataclass
-class AttributeScan(_ScanBase):
-    """Scan every triple of one attribute (whole A#v subtree)."""
-
-    algorithm: str | None = None
-
-    strategy = "attribute-scan"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        predicate = self.pattern.predicate
-        if not isinstance(predicate, Literal):
-            raise PlanningError("AttributeScan needs a literal predicate")
-        key_range = av_value_range(str(predicate.value))
-        return self._range_groups(ctx, key_range, IndexKind.AV)
-
-
-@dataclass
-class VLookupScan(_ScanBase):
-    """Exact lookup on the v index — value known, attribute unknown."""
-
-    strategy = "v-lookup"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        object_ = self.pattern.object
-        if not isinstance(object_, Literal):
-            raise PlanningError("VLookupScan needs a literal object")
-        entries, trace, destination = ctx.pnet.lookup_at(
-            v_key(object_.value), start=ctx.coordinator
-        )
-        bindings = self._bindings(entries, IndexKind.V)
-        groups = [(destination.node_id, bindings)] if bindings else []
-        return OpResult(groups=groups, trace=trace)
-
-
-@dataclass
-class VRangeScan(_ScanBase):
-    """Range scan over the v index (attribute unknown)."""
-
-    low: Value | None = None
-    high: Value | None = None
-    low_inclusive: bool = True
-    high_inclusive: bool = True
-    algorithm: str | None = None
-
-    strategy = "v-range"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        key_range = v_value_range(self.low, self.high, self.low_inclusive, self.high_inclusive)
-        return self._range_groups(ctx, key_range, IndexKind.V)
-
-
-@dataclass
-class VPrefixScan(_ScanBase):
-    """Prefix search over all string values — the paper's substring entry point."""
-
-    prefix: str = ""
-    algorithm: str | None = None
-
-    strategy = "v-prefix"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        key_range = v_string_prefix_range(self.prefix)
-        return self._range_groups(ctx, key_range, IndexKind.V)
-
-
-@dataclass
-class BroadcastScan(_ScanBase):
-    """Fallback when nothing is bound: scan the entire A#v subtree.
-
-    Every triple has exactly one A#v posting, so this enumerates the whole
-    store once — the expensive strategy the cost model should avoid unless
-    the pattern really binds nothing.
-    """
-
-    algorithm: str | None = None
-
-    strategy = "broadcast"
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        key_range = KeyRange.subtree(INDEX_TAG[IndexKind.AV])
-        return self._range_groups(ctx, key_range, IndexKind.AV)
+        return super()._label() + (f" alg={self.algorithm}" if self.algorithm else "")
 
 
 @dataclass
@@ -314,11 +173,17 @@ class QGramScan(_ScanBase):
             raise PlanningError("QGramScan needs a literal predicate")
         if not ctx.store.enable_qgram_index:
             raise PlanningError("q-gram index not enabled in this store")
+        attribute = str(predicate.value)
         if distinct_count_filter_threshold(self.text, self.q, self.max_distance) < 1:
-            fallback = AttributeScan(pattern=self.pattern, filters=self.filters)
+            fallback = IndexRange(
+                self.pattern,
+                self.filters,
+                IndexKind.AV,
+                av_attribute_range(attribute),
+                "attribute-scan",
+            )
             return fallback.execute(ctx)
 
-        attribute = str(predicate.value)
         candidates: dict[tuple[str, str, Value], Triple] = {}
         branches: list[Trace] = []
         for gram in self._probe_grams():
@@ -333,13 +198,36 @@ class QGramScan(_ScanBase):
                     continue
                 candidates.setdefault(triple.as_tuple(), triple)
 
-        within: dict[str, bool] = {}  # many candidates share a value: verify each once
-        for value in {t.value for t in candidates.values() if isinstance(t.value, str)}:
-            within[value] = edit_distance_within(value, self.text, self.max_distance) is not None
-        verified = [t for t in candidates.values() if within.get(t.value, False)]
-        bindings = self._bindings_from_triples(verified)
+        # Many candidates share a value: verify each distinct value once.
+        distances = {
+            value: edit_distance_within(value, self.text, self.max_distance)
+            for value in {t.value for t in candidates.values() if isinstance(t.value, str)}
+        }
+        check = self._check(distances)
+        bindings: list[Binding] = []
+        for triple in candidates.values():
+            if distances.get(triple.value) is None:
+                continue
+            binding = match_pattern(self.pattern, triple)
+            if binding is not None and check(binding):
+                bindings.append(binding)
         groups = [(ctx.coordinator.node_id, bindings)] if bindings else []
         return OpResult(groups=groups, trace=Trace.parallel(branches))
+
+    def _check(self, distances: dict[Value, int | None]) -> FilterCheck:
+        """The scan's filters, told each verified value's distance so that a
+        filter over ``edist(?object, text)`` does not compute it again."""
+        check = FilterCheck(self.filters)
+        object_ = self.pattern.object
+        if isinstance(object_, Var):
+            text = Literal(self.text)
+            calls = (FunctionCall("edist", (object_, text)), FunctionCall("edist", (text, object_)))
+            for expr in self.filters:
+                for value, distance in distances.items():
+                    known = replace_terms(expr, calls, Literal(distance))
+                    if distance is not None and known != expr:
+                        check.settle(expr, value, satisfies(known, {object_.name: value}))
+        return check
 
     def _probe_grams(self) -> list[str]:
         """The ``k*q + 1`` probe grams; padded buckets last (they are fat)."""
@@ -451,14 +339,12 @@ class OidClusterScan(PhysicalOperator):
             matches = [b for t in candidates if (b := match_pattern(pattern, t)) is not None]
             if not matches:
                 return []
-            merged: list[Binding] = []
-            for base in partial:
-                for match in matches:
-                    if all(base.get(k, v) == v for k, v in match.items() if k in base):
-                        combined = dict(base)
-                        combined.update(match)
-                        merged.append(combined)
-            partial = merged
+            partial = [
+                merge_bindings(base, match)
+                for base in partial
+                for match in matches
+                if compatible(base, match)
+            ]
             if not partial:
                 return []
         return [b for b in partial if check(b)]

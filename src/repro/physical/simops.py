@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.errors import PlanningError
 from repro.net.trace import Trace
-from repro.algebra.semantics import Binding, merge_bindings
+from repro.algebra.semantics import Binding, compatible, merge_bindings
 from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator
 from repro.physical.scans import QGramScan
 from repro.strings import edit_distance_within
@@ -54,7 +54,7 @@ class NaiveSimilarityJoin(PhysicalOperator):
                     continue
                 if edit_distance_within(left_value, right_value, self.max_distance) is None:
                     continue
-                if _compatible(left_row, right_row):
+                if compatible(left_row, right_row):
                     joined.append(merge_bindings(left_row, right_row))
         trace = Trace.parallel([left_home.trace, right_home.trace])
         return OpResult(
@@ -118,7 +118,7 @@ class QGramSimilarityJoin(PhysicalOperator):
                 branches.append(result.trace)
                 probe_cache[left_value] = result.all_bindings()
             for right_row in probe_cache[left_value]:
-                if _compatible(left_row, right_row):
+                if compatible(left_row, right_row):
                     joined.append(merge_bindings(left_row, right_row))
         trace = left_home.trace.then(Trace.parallel(branches)) if branches else left_home.trace
         return OpResult(
@@ -132,7 +132,3 @@ class QGramSimilarityJoin(PhysicalOperator):
             f"QGramSimilarityJoin[{self.right_pattern}] "
             f"edist({self.left_variable}, {self.right_variable}) <= {self.max_distance}"
         )
-
-
-def _compatible(a: Binding, b: Binding) -> bool:
-    return all(b.get(name, value) == value for name, value in a.items() if name in b)

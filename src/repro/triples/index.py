@@ -13,13 +13,19 @@ in disjoint subtrees of the P-Grid key space:
 * ``v``  (tag 10) — access by value when the attribute is unknown
   ("queries on an arbitrary attribute"), including substring/prefix search.
 
-The q-gram similarity index (tag 11) is defined in
-:mod:`repro.physical.qgram` but shares this tag registry.
+The q-gram similarity index (tag 11, :func:`qgram_key`) shares this tag
+registry; :class:`repro.triples.store.DistributedTripleStore` publishes its
+postings and :class:`repro.physical.scans.QGramScan` probes them.
+
+Probing a pattern once one of its variables is bound follows one rule
+(:func:`probe_index`): a bound subject probes the OID index; a bound object
+probes A#v when the predicate is a literal and v otherwise.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Collection
 
 from repro.pgrid.hashing import (
     KEY_SEPARATOR,
@@ -27,8 +33,10 @@ from repro.pgrid.hashing import (
     encode_string,
     encode_value,
 )
+from repro.errors import PlanningError
 from repro.pgrid.keys import KeyRange
 from repro.triples.triple import Value
+from repro.vql.ast import Literal, TriplePattern, Var
 
 
 class IndexKind(str, Enum):
@@ -142,3 +150,42 @@ def v_value_range(
 def v_string_prefix_range(prefix_text: str) -> KeyRange:
     """Key range over the v index for string values starting with ``prefix_text``."""
     return KeyRange.subtree(INDEX_TAG[IndexKind.V] + "1" + encode_string(prefix_text))
+
+
+def probe_index(pattern: TriplePattern, variable: str) -> IndexKind | None:
+    """The index that answers ``pattern`` once ``variable`` is bound.
+
+    OID when ``variable`` is the subject; A#v when it is the object and the
+    predicate is a literal, v when the predicate is a variable.  None when
+    ``variable`` is neither subject nor object: no index can be probed.
+    """
+    if isinstance(pattern.subject, Var) and pattern.subject.name == variable:
+        return IndexKind.OID
+    if isinstance(pattern.object, Var) and pattern.object.name == variable:
+        return IndexKind.AV if isinstance(pattern.predicate, Literal) else IndexKind.V
+    return None
+
+
+def probe_variable(pattern: TriplePattern, bound: Collection[str]) -> str | None:
+    """The bound variable to probe ``pattern`` through: its subject if bound,
+    else its object, else None."""
+    for term in (pattern.subject, pattern.object):
+        if isinstance(term, Var) and term.name in bound:
+            return term.name
+    return None
+
+
+def probe_key(pattern: TriplePattern, variable: str, value: Value) -> tuple[str, IndexKind]:
+    """The key and index that answer ``pattern`` with ``variable`` = ``value``.
+
+    OIDs are strings, so an OID probe uses ``str(value)``: every join value
+    has a key, and a non-string value then matches no OID, as in a join.
+    """
+    kind = probe_index(pattern, variable)
+    if kind is IndexKind.OID:
+        return oid_key(str(value)), kind
+    if kind is IndexKind.AV:
+        return av_key(str(pattern.predicate.value), value), kind  # type: ignore[union-attr]
+    if kind is IndexKind.V:
+        return v_key(value), kind
+    raise PlanningError(f"no index answers {pattern} through ?{variable}")

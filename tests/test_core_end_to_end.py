@@ -134,6 +134,22 @@ class TestExecutionModes:
         assert "-- logical --" in text and "-- physical --" in text
         assert "AvLookupScan" in text
 
+    @pytest.mark.parametrize("mode", ["optimized", "reference", "mqp"])
+    @pytest.mark.parametrize("condition", ["nosuch(?y) = 1", "?y > 3010 && nosuch(?y) = 1"])
+    def test_unknown_filter_function_rejected_before_execution(
+        self, conference_store, mode, condition
+    ):
+        # In the short-circuit case no row passes ?y > 3010, so no row ever
+        # reaches the unknown call: only a check before execution rejects it.
+        from repro.errors import VQLError
+
+        before = conference_store.pnet.net.stats.messages
+        with pytest.raises(VQLError, match="nosuch"):
+            conference_store.execute(
+                f"SELECT ?x WHERE {{(?x,'age',?y) FILTER {condition}}}", mode=mode
+            )
+        assert conference_store.pnet.net.stats.messages == before
+
 
 class TestIngestionAPI:
     def test_insert_tuple_generates_oid(self):

@@ -1,4 +1,4 @@
-"""Utility modules: bench harness statistics, result presentation, messages."""
+"""Utility modules: bench harness statistics and result presentation."""
 
 
 import pytest
@@ -17,7 +17,6 @@ from repro.bench import (
     zipf_values,
 )
 from repro.core.results import QueryResult
-from repro.net.message import HEADER_SIZE, Message, payload_size
 from repro.net.trace import Trace
 from repro.strings import edit_distance
 
@@ -159,19 +158,3 @@ class TestQueryResult:
         first = QueryResult(rows=[{"a": 2}, {"a": 1}], variables=("a",))
         second = QueryResult(rows=[{"a": 1}, {"a": 2}], variables=("a",))
         assert first.sorted_rows() == second.sorted_rows()
-
-
-class TestMessage:
-    def test_defaults(self):
-        message = Message("a", "b", "kind")
-        assert message.size == HEADER_SIZE
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            Message("a", "b", "kind", size=-1)
-
-    def test_payload_size(self):
-        assert payload_size(None) == 0
-        assert payload_size([1, 2, 3]) == 3
-        assert payload_size({"k": 1}) == 1
-        assert payload_size("scalar") == 1

@@ -167,7 +167,8 @@ class TestMQPExecution:
 
 
 class TestProbeOidCoercion:
-    """Regression: probe-oid used to silently drop non-string join values."""
+    """probe-oid routes non-string join values under their string form and
+    matches them exactly as the reference join does."""
 
     @pytest.fixture()
     def numeric_env(self):
@@ -181,8 +182,8 @@ class TestProbeOidCoercion:
 
         pnet = build_network(16, replication=2, seed=77, split_by="population")
         store = DistributedTripleStore(pnet)
-        # A tuple whose OID is the *string* "42"; join values arriving as the
-        # integer 42 must still probe (and bind) it.
+        # A tuple whose OID is the *string* "42"; a join value arriving as
+        # the integer 42 probes its key but, OIDs being strings, matches no OID.
         store.bulk_insert([Triple("42", "name", "answer-tuple"), Triple("q:1", "answer", 42)])
         # Probe from a peer that must actually route to the OID posting.
         holder = next(p for p in pnet.peers if not responsible(p.path, oid_key("42")))
@@ -201,8 +202,9 @@ class TestProbeOidCoercion:
         step = Step(scan=scan, method="probe-oid", shared_variable="x", estimated_cost=0.0)
         trace = _probe(ctx, plan, step)
         assert trace.messages > 0
-        # The probed binding keeps the row's original (integer) join value.
-        assert plan.bindings == [{"q": "q:1", "x": 42, "n": "answer-tuple"}]
+        # 42 != "42": the reference executor joins nothing here, and neither
+        # does the probe.
+        assert plan.bindings == []
 
     def test_string_join_values_still_bind_exactly(self, numeric_env):
         ctx, _probe, MutantQueryPlan, Step = numeric_env

@@ -8,19 +8,25 @@ from repro.errors import PlanningError
 from repro.optimizer import CatalogStatistics, Cost, CostModel, Planner, PlannerConfig
 from repro.pgrid import build_network
 from repro.physical import (
-    AttributeScan,
-    AvLookupScan,
-    AvPrefixScan,
-    AvRangeScan,
-    BroadcastScan,
+    IndexLookup,
     IndexNestedLoopJoin,
-    OidLookupScan,
+    IndexRange,
     QGramScan,
     RehashJoin,
     ShipJoin,
-    VLookupScan,
 )
+from repro.pgrid.keys import KeyRange
 from repro.triples import DistributedTripleStore
+from repro.triples.index import (
+    INDEX_TAG,
+    IndexKind,
+    av_attribute_range,
+    av_key,
+    av_string_prefix_range,
+    av_value_range,
+    oid_key,
+    v_key,
+)
 from repro.vql import parse
 from repro.vql.ast import Literal, TriplePattern, Var
 
@@ -132,38 +138,46 @@ class TestScanSelection:
 
     def test_bound_subject_uses_oid_index(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?p WHERE {('person:000001',?p,?o)}")
-        assert self._find(plan, OidLookupScan)
+        scan = self._find(plan, IndexLookup)
+        assert (scan.strategy, scan.kind) == ("oid-lookup", IndexKind.OID)
+        assert scan.key == oid_key("person:000001")
 
     def test_bound_pred_obj_uses_av_lookup(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?s WHERE {(?s,'age',30)}")
-        assert self._find(plan, AvLookupScan)
+        scan = self._find(plan, IndexLookup)
+        assert (scan.strategy, scan.kind) == ("av-lookup", IndexKind.AV)
+        assert scan.key == av_key("age", 30)
 
     def test_equality_filter_becomes_point_range(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?s WHERE {(?s,'age',?v) FILTER ?v = 30}")
-        scan = self._find(plan, AvRangeScan)
-        assert scan is not None and scan.low == 30 and scan.high == 30
+        scan = self._find(plan, IndexRange)
+        assert scan.strategy == "av-range"
+        assert scan.key_range == av_value_range("age", 30, 30)
 
     def test_range_filter_becomes_range_scan(self, stats_env):
         plan = self._scan_for(
             stats_env, "SELECT ?s WHERE {(?s,'age',?v) FILTER ?v >= 30 AND ?v < 40}"
         )
-        scan = self._find(plan, AvRangeScan)
-        assert scan.low == 30 and scan.high == 40 and not scan.high_inclusive
+        scan = self._find(plan, IndexRange)
+        assert scan.strategy == "av-range"
+        assert scan.key_range == av_value_range("age", 30, 40, True, False)
 
     def test_prefix_filter_becomes_prefix_scan(self, stats_env):
         plan = self._scan_for(
             stats_env,
             "SELECT ?s WHERE {(?s,'confname',?v) FILTER prefix(?v,'ICDE')}",
         )
-        scan = self._find(plan, AvPrefixScan)
-        assert scan is not None and scan.prefix == "ICDE"
+        scan = self._find(plan, IndexRange)
+        assert scan.strategy == "av-prefix"
+        assert scan.key_range == av_string_prefix_range("confname", "ICDE")
 
     def test_edist_filter_uses_qgram_index(self, stats_env):
         plan = self._scan_for(
             stats_env,
             "SELECT ?s WHERE {(?s,'confname',?v) FILTER edist(?v,'ICDE 2003')<2}",
         )
-        assert self._find(plan, QGramScan)
+        scan = self._find(plan, QGramScan)
+        assert (scan.text, scan.max_distance) == ("ICDE 2003", 1)
 
     def test_edist_without_qgram_index_scans_attribute(self, stats_env):
         store, stats = stats_env
@@ -172,16 +186,21 @@ class TestScanSelection:
             "SELECT ?s WHERE {(?s,'confname',?v) FILTER edist(?v,'ICDE 2003')<2}"
         )))
         physical = planner.plan(logical)
-        assert self._find(physical, AttributeScan)
+        scan = self._find(physical, IndexRange)
+        assert scan.strategy == "attribute-scan"
+        assert scan.key_range == av_attribute_range("confname")
         assert not self._find(physical, QGramScan)
 
     def test_bound_object_uses_v_index(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?s,?p WHERE {(?s,?p,'ICDE')}")
-        assert self._find(plan, VLookupScan)
+        scan = self._find(plan, IndexLookup)
+        assert (scan.strategy, scan.kind, scan.key) == ("v-lookup", IndexKind.V, v_key("ICDE"))
 
     def test_nothing_bound_broadcasts(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?s WHERE {(?s,?p,?o)}")
-        assert self._find(plan, BroadcastScan)
+        scan = self._find(plan, IndexRange)
+        assert scan.strategy == "broadcast"
+        assert scan.key_range == KeyRange.subtree(INDEX_TAG[IndexKind.AV])
 
 
 class TestJoinSelection:
@@ -238,8 +257,8 @@ class TestJoinSelection:
         physical = planner.plan(rewrite(build_plan(parse(
             "SELECT ?s WHERE {(?s,'age',?v) FILTER ?v > 30}"
         ))))
-        scan = TestScanSelection._find(self, physical, AvRangeScan)
-        assert scan.algorithm == "sequential"
+        scan = TestScanSelection._find(self, physical, IndexRange)
+        assert (scan.strategy, scan.algorithm) == ("av-range", "sequential")
 
 
 class TestPlanExecution:

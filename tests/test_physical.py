@@ -6,18 +6,16 @@ import random
 import pytest
 
 from repro.algebra import build_plan, execute_reference, rewrite
+from repro.algebra.expressions import satisfies
 from repro.bench import ConferenceWorkload
 from repro.errors import PlanningError
+from repro.algebra.operators import PatternScan
+from repro.optimizer import CatalogStatistics, Planner
 from repro.physical import (
-    AttributeScan,
-    AvLookupScan,
-    AvPrefixScan,
-    AvRangeScan,
-    BroadcastScan,
     ExecutionContext,
     IndexNestedLoopJoin,
+    IndexRange,
     NaiveSimilarityJoin,
-    OidLookupScan,
     OpResult,
     QGramScan,
     QGramSimilarityJoin,
@@ -25,10 +23,24 @@ from repro.physical import (
     ShipJoin,
     SkylineOp,
     TopNOp,
-    VLookupScan,
 )
 from repro.triples import DistributedTripleStore, Triple
+from repro.triples.index import (
+    INDEX_TAG,
+    IndexKind,
+    av_attribute_range,
+    av_key,
+    av_string_prefix_range,
+    av_value_range,
+    oid_key,
+    probe_key,
+    probe_variable,
+    v_key,
+    v_string_prefix_range,
+    v_value_range,
+)
 from repro.pgrid import build_network
+from repro.pgrid.keys import KeyRange
 from repro.vql import parse
 from repro.vql.ast import Literal, OrderItem, SkylineItem, TriplePattern, Var
 
@@ -62,78 +74,133 @@ def rows_of(result: OpResult):
     return _canonical(result.all_bindings())
 
 
+def attribute_scan(pattern):
+    """Scan every triple of the pattern's (literal) predicate."""
+    key_range = av_attribute_range(str(pattern.predicate.value))
+    return IndexRange(pattern, (), IndexKind.AV, key_range, "attribute-scan")
+
+
+def planned_scan(store, vql):
+    """The scan the planner picks for the single pattern of ``vql``."""
+    node = rewrite(build_plan(parse(vql)))
+    while not isinstance(node, PatternScan):
+        (node,) = node.children()
+    planner = Planner(CatalogStatistics.from_store(store), qgram_available=True)
+    return planner.plan_scan(node).op
+
+
 class TestScans:
     def test_oid_lookup(self, env):
         store, triples, ctx = env
         some_oid = triples[0].oid
-        pattern = TriplePattern(Literal(some_oid), Var("p"), Var("o"))
-        result = OidLookupScan(pattern).execute(ctx)
+        scan = planned_scan(store, f"SELECT ?p,?o WHERE {{('{some_oid}',?p,?o)}}")
+        assert (scan.strategy, scan.kind) == ("oid-lookup", IndexKind.OID)
+        assert scan.key == oid_key(some_oid)
         expected = [{"p": t.attribute, "o": t.value} for t in triples if t.oid == some_oid]
-        assert rows_of(result) == _canonical(expected)
+        assert rows_of(scan.execute(ctx)) == _canonical(expected)
 
     def test_av_lookup(self, env):
         store, triples, ctx = env
         year = next(t.value for t in triples if t.attribute == "year")
-        pattern = TriplePattern(Var("s"), Literal("year"), Literal(year))
-        result = AvLookupScan(pattern).execute(ctx)
+        scan = planned_scan(store, f"SELECT ?s WHERE {{(?s,'year',{year})}}")
+        assert (scan.strategy, scan.kind) == ("av-lookup", IndexKind.AV)
+        assert scan.key == av_key("year", year)
         expected = [{"s": t.oid} for t in triples if t.attribute == "year" and t.value == year]
-        assert rows_of(result) == _canonical(expected)
+        assert rows_of(scan.execute(ctx)) == _canonical(expected)
 
     def test_av_range(self, env):
         store, triples, ctx = env
-        pattern = TriplePattern(Var("s"), Literal("age"), Var("v"))
-        result = AvRangeScan(pattern, low=30, high=40, high_inclusive=False).execute(ctx)
+        scan = planned_scan(store, "SELECT ?s,?v WHERE {(?s,'age',?v) FILTER ?v >= 30 AND ?v < 40}")
+        assert scan.strategy == "av-range" and scan.kind is IndexKind.AV
+        assert scan.key_range == av_value_range("age", 30, 40, True, False)
         expected = [
             {"s": t.oid, "v": t.value}
             for t in triples
             if t.attribute == "age" and 30 <= t.value < 40
         ]
-        assert rows_of(result) == _canonical(expected)
+        assert rows_of(scan.execute(ctx)) == _canonical(expected)
 
     def test_av_range_sequential_same_rows(self, env):
         store, _triples, ctx = env
         pattern = TriplePattern(Var("s"), Literal("age"), Var("v"))
-        shower = AvRangeScan(pattern, low=30, high=50, algorithm="shower").execute(ctx)
-        sequential = AvRangeScan(pattern, low=30, high=50, algorithm="sequential").execute(ctx)
-        assert rows_of(shower) == rows_of(sequential)
+        key_range = av_value_range("age", 30, 50)
+        shower = IndexRange(pattern, (), IndexKind.AV, key_range, "av-range", "shower")
+        sequential = IndexRange(pattern, (), IndexKind.AV, key_range, "av-range", "sequential")
+        assert rows_of(shower.execute(ctx)) == rows_of(sequential.execute(ctx))
 
     def test_av_prefix(self, env):
         store, triples, ctx = env
-        pattern = TriplePattern(Var("s"), Literal("confname"), Var("v"))
-        result = AvPrefixScan(pattern, prefix="ICDE").execute(ctx)
+        scan = planned_scan(
+            store, "SELECT ?s,?v WHERE {(?s,'confname',?v) FILTER prefix(?v,'ICDE')}"
+        )
+        assert scan.strategy == "av-prefix" and scan.kind is IndexKind.AV
+        assert scan.key_range == av_string_prefix_range("confname", "ICDE")
         expected = [
             {"s": t.oid, "v": t.value}
             for t in triples
             if t.attribute == "confname" and str(t.value).startswith("ICDE")
         ]
-        assert rows_of(result) == _canonical(expected)
+        assert rows_of(scan.execute(ctx)) == _canonical(expected)
 
     def test_attribute_scan(self, env):
         store, triples, ctx = env
-        pattern = TriplePattern(Var("s"), Literal("series"), Var("v"))
-        result = AttributeScan(pattern).execute(ctx)
+        scan = planned_scan(store, "SELECT ?s,?v WHERE {(?s,'series',?v)}")
+        assert scan.strategy == "attribute-scan" and scan.kind is IndexKind.AV
+        assert scan.key_range == av_attribute_range("series")
         expected = [{"s": t.oid, "v": t.value} for t in triples if t.attribute == "series"]
-        assert rows_of(result) == _canonical(expected)
+        assert rows_of(scan.execute(ctx)) == _canonical(expected)
 
     def test_v_lookup(self, env):
         store, triples, ctx = env
         value = next(t.value for t in triples if t.attribute == "series")
-        pattern = TriplePattern(Var("s"), Var("p"), Literal(value))
-        result = VLookupScan(pattern).execute(ctx)
+        scan = planned_scan(store, f"SELECT ?s,?p WHERE {{(?s,?p,'{value}')}}")
+        assert (scan.strategy, scan.kind, scan.key) == ("v-lookup", IndexKind.V, v_key(value))
         expected = [{"s": t.oid, "p": t.attribute} for t in triples if t.value == value]
-        assert rows_of(result) == _canonical(expected)
+        assert rows_of(scan.execute(ctx)) == _canonical(expected)
+
+    def test_v_range(self, env):
+        store, triples, ctx = env
+        scan = planned_scan(store, "SELECT * WHERE {(?s,?p,?v) FILTER ?v > 30 AND ?v <= 40}")
+        assert scan.strategy == "v-range" and scan.kind is IndexKind.V
+        assert scan.key_range == v_value_range(30, 40, False, True)
+        expected = [
+            {"s": t.oid, "p": t.attribute, "v": t.value}
+            for t in triples
+            if isinstance(t.value, (int, float)) and 30 < t.value <= 40
+        ]
+        assert rows_of(scan.execute(ctx)) == _canonical(expected)
+
+    def test_v_prefix(self, env):
+        store, triples, ctx = env
+        scan = planned_scan(store, "SELECT * WHERE {(?s,?p,?v) FILTER prefix(?v,'ICDE')}")
+        assert scan.strategy == "v-prefix" and scan.kind is IndexKind.V
+        assert scan.key_range == v_string_prefix_range("ICDE")
+        expected = [
+            {"s": t.oid, "p": t.attribute, "v": t.value}
+            for t in triples
+            if isinstance(t.value, str) and t.value.startswith("ICDE")
+        ]
+        assert rows_of(scan.execute(ctx)) == _canonical(expected)
 
     def test_broadcast_scan_returns_everything(self, env):
         store, triples, ctx = env
-        pattern = TriplePattern(Var("s"), Var("p"), Var("o"))
-        result = BroadcastScan(pattern).execute(ctx)
-        assert result.total_rows() == len(triples)
+        scan = planned_scan(store, "SELECT * WHERE {(?s,?p,?o)}")
+        assert scan.strategy == "broadcast" and scan.kind is IndexKind.AV
+        assert scan.key_range == KeyRange.subtree(INDEX_TAG[IndexKind.AV])
+        assert scan.execute(ctx).total_rows() == len(triples)
+
+    def test_explain_keeps_strategy_names(self, env):
+        store, _triples, _ctx = env
+        scan = planned_scan(store, "SELECT ?s WHERE {(?s,'age',?v) FILTER ?v >= 30 AND ?v < 40}")
+        assert scan.explain() == "AvRangeScan (?s,'age',?v) | ?v >= 30 AND ?v < 40"
+        lookup = planned_scan(store, "SELECT ?s WHERE {(?s,'age',30)}")
+        assert lookup.explain() == "AvLookupScan (?s,'age',30)"
 
     def test_qgram_scan_matches_filtered_attribute_scan(self, env):
         store, triples, ctx = env
         target = next(str(t.value) for t in triples if t.attribute == "published_in")
         pattern = TriplePattern(Var("s"), Literal("published_in"), Var("v"))
-        qgram = QGramScan(pattern, text=target, max_distance=2).execute(ctx)
+        qgram = QGramScan(pattern, (), text=target, max_distance=2).execute(ctx)
         from repro.strings import edit_distance
 
         expected = [
@@ -144,13 +211,38 @@ class TestScans:
         ]
         assert rows_of(qgram) == _canonical(expected)
 
+    @pytest.mark.parametrize(
+        "condition", ["edist(?v,'{t}') < 3", "edist(?v,'{t}') = 1", "2 > edist('{t}',?v)"]
+    )
+    def test_qgram_scan_computes_each_distance_once(self, env, monkeypatch, condition):
+        from repro.algebra import expressions
+
+        store, triples, ctx = env
+        target = next(str(t.value) for t in triples if t.attribute == "published_in")
+        condition = condition.format(t=target)
+        scan = planned_scan(store, f"SELECT * WHERE {{(?s,'published_in',?v) FILTER {condition}}}")
+        assert isinstance(scan, QGramScan)
+        unfiltered = QGramScan(scan.pattern, (), scan.text, scan.max_distance).execute(ctx)
+        expected = [
+            row
+            for row in unfiltered.all_bindings()
+            if all(satisfies(f, row) for f in scan.filters)
+        ]
+        calls = []
+        real = expressions.edit_distance
+        monkeypatch.setattr(
+            expressions, "edit_distance", lambda a, b: calls.append((a, b)) or real(a, b)
+        )
+        assert scan.execute(ctx).all_bindings() == expected  # rows and their order
+        assert calls == []
+
     def test_qgram_scan_message_bound(self, env):
         import math
 
         store, triples, ctx = env
         target = next(str(t.value) for t in triples if t.attribute == "published_in")
         pattern = TriplePattern(Var("s"), Literal("published_in"), Var("v"))
-        qgram = QGramScan(pattern, text=target, max_distance=1).execute(ctx)
+        qgram = QGramScan(pattern, (), text=target, max_distance=1).execute(ctx)
         # O(|grams| * log N): each gram is one parallel lookup + reply.
         groups = len(store.pnet.leaf_groups())
         grams = len(target) + 3 - 1
@@ -162,28 +254,29 @@ class TestScans:
         store, triples, ctx = env
         pattern = TriplePattern(Var("s"), Literal("series"), Var("v"))
         # k too large for the string length: the count filter is vacuous.
-        result = QGramScan(pattern, text="IC", max_distance=5).execute(ctx)
+        result = QGramScan(pattern, (), text="IC", max_distance=5).execute(ctx)
         expected = [{"s": t.oid, "v": t.value} for t in triples if t.attribute == "series"]
         assert result.total_rows() == len(expected)
 
     def test_scan_requires_correct_literals(self, env):
-        _store, _triples, ctx = env
+        store, _triples, ctx = env
         var_pattern = TriplePattern(Var("s"), Var("p"), Var("o"))
         with pytest.raises(PlanningError):
-            OidLookupScan(var_pattern).execute(ctx)
+            QGramScan(var_pattern, (), text="ICDE", max_distance=1).execute(ctx)
         with pytest.raises(PlanningError):
-            AvLookupScan(var_pattern).execute(ctx)
-        with pytest.raises(PlanningError):
-            AvRangeScan(var_pattern).execute(ctx)
+            probe_key(var_pattern, "p", "age")  # no index is keyed by a predicate
+        numeric_subject = planned_scan(store, "SELECT ?p WHERE {(42,?p,?o)}")
+        assert numeric_subject.key == oid_key("42")  # OIDs are strings: it matches none
+        assert numeric_subject.execute(ctx).groups == []
 
 
 class TestJoinStrategies:
     @pytest.fixture()
     def join_parts(self, env):
         _store, triples, ctx = env
-        left = AttributeScan(TriplePattern(Var("a"), Literal("has_published"), Var("t")))
+        left = attribute_scan(TriplePattern(Var("a"), Literal("has_published"), Var("t")))
         right_pattern = TriplePattern(Var("p"), Literal("title"), Var("t"))
-        right = AttributeScan(right_pattern)
+        right = attribute_scan(right_pattern)
         expected = reference_rows(
             "SELECT * WHERE {(?a,'has_published',?t) (?p,'title',?t)}", triples
         )
@@ -214,44 +307,112 @@ class TestJoinStrategies:
 
     def test_join_on_subject_via_oid_probe(self, env):
         _store, triples, ctx = env
-        left = AttributeScan(TriplePattern(Var("a"), Literal("name"), Var("n")))
+        left = attribute_scan(TriplePattern(Var("a"), Literal("name"), Var("n")))
         right_pattern = TriplePattern(Var("a"), Literal("age"), Var("g"))
         result = IndexNestedLoopJoin(
-            left, AttributeScan(right_pattern), right_pattern=right_pattern
+            left, attribute_scan(right_pattern), right_pattern=right_pattern
         ).execute(ctx)
         expected = reference_rows("SELECT * WHERE {(?a,'name',?n) (?a,'age',?g)}", triples)
         assert rows_of(result) == expected
 
     def test_oid_probe_coerces_non_string_join_values(self):
-        """Regression: non-string OID join values used to be silently dropped
-        (must behave like the MQP probe-oid coercion)."""
+        """A non-string join value probes the OID index under its string
+        form without error, and then matches no OID — the reference join's
+        answer, since OIDs are strings."""
         pnet = build_network(16, replication=2, seed=78, split_by="population")
         store = DistributedTripleStore(pnet)
-        store.bulk_insert([Triple("42", "name", "answer-tuple"), Triple("q:1", "answer", 42)])
+        triples = [
+            Triple("42", "name", "answer-tuple"),
+            Triple("q:1", "answer", 42),
+            Triple("q:2", "answer", "42"),
+        ]
+        store.bulk_insert(triples)
         ctx = ExecutionContext(store, pnet.peers[0], random.Random(78))
-        left = AttributeScan(TriplePattern(Var("q"), Literal("answer"), Var("x")))
+        left = attribute_scan(TriplePattern(Var("q"), Literal("answer"), Var("x")))
         right_pattern = TriplePattern(Var("x"), Literal("name"), Var("n"))
         result = IndexNestedLoopJoin(
-            left, AttributeScan(right_pattern), right_pattern=right_pattern
+            left, attribute_scan(right_pattern), right_pattern=right_pattern
         ).execute(ctx)
-        assert result.all_bindings() == [{"q": "q:1", "x": 42, "n": "answer-tuple"}]
+        assert result.all_bindings() == [{"q": "q:2", "x": "42", "n": "answer-tuple"}]
+        assert rows_of(result) == reference_rows(
+            "SELECT * WHERE {(?q,'answer',?x) (?x,'name',?n)}", triples
+        )
 
     def test_rehash_falls_back_on_cartesian(self, env):
         _store, _triples, ctx = env
-        left = AttributeScan(TriplePattern(Var("a"), Literal("series"), Var("x")))
-        right = AttributeScan(TriplePattern(Var("b"), Literal("areaname"), Var("y")))
+        left = attribute_scan(TriplePattern(Var("a"), Literal("series"), Var("x")))
+        right = attribute_scan(TriplePattern(Var("b"), Literal("areaname"), Var("y")))
         result = RehashJoin(left, right).execute(ctx)
         ship = ShipJoin(left, right).execute(ctx)
         assert rows_of(result) == rows_of(ship)
 
 
+class TestProbeKey:
+    """One rule picks the index a bound variable probes, for the index-NL
+    join and the MQP probe step alike."""
+
+    @pytest.mark.parametrize(
+        "pattern, variable, value, expected",
+        [
+            pytest.param("(?x,'name',?n)", "x", "42", (oid_key("42"), "oid"), id="subject"),
+            pytest.param("(?x,'name',?n)", "x", 42, (oid_key("42"), "oid"), id="subject-numeric"),
+            pytest.param(
+                "(?q,'age',?x)", "x", 42, (av_key("age", 42), "av"), id="object-literal-predicate"
+            ),
+            pytest.param("(?q,?p,?x)", "x", 42, (v_key(42), "v"), id="object-variable-predicate"),
+            pytest.param("(?x,?p,?x)", "x", "a", (oid_key("a"), "oid"), id="subject-first"),
+        ],
+    )
+    def test_probe_key(self, pattern, variable, value, expected):
+        (pattern,) = parse(f"SELECT * WHERE {{{pattern}}}").groups[0].patterns
+        key, kind = expected
+        assert probe_key(pattern, variable, value) == (key, IndexKind(kind))
+
+    def test_bound_subject_is_probed_before_bound_object(self):
+        pattern = TriplePattern(Var("a"), Literal("age"), Var("b"))
+        assert probe_variable(pattern, {"a", "b"}) == "a"
+        assert probe_variable(pattern, {"b", "c"}) == "b"
+        assert probe_variable(pattern, {"c"}) is None
+
+    @pytest.fixture(scope="class")
+    def unistore(self):
+        from repro import UniStore
+
+        store = UniStore.build(num_peers=16, seed=78)
+        triples = [Triple(str(40 + i), "name", f"n{i}") for i in range(12)]
+        triples += [Triple(f"p:{i}", "age", 40 + i) for i in range(12)]
+        triples += [
+            Triple("q:1", "answer", 42),
+            Triple("q:2", "answer", "43"),
+            Triple("q:3", "answer", 44.0),
+        ]
+        store.store.bulk_insert(triples)
+        return store
+
+    @pytest.mark.parametrize(
+        "right, method",
+        [("(?x,'name',?n)", "probe-oid"), ("(?y,'age',?x)", "probe-av"), ("(?y,?p,?x)", "probe-v")],
+    )
+    def test_index_nl_and_mqp_equal_reference(self, unistore, right, method):
+        from repro.optimizer import PlannerConfig
+
+        vql = f"SELECT * WHERE {{(?q,'answer',?x) {right}}}"
+        reference = _canonical(unistore.execute(vql, mode="reference").rows)
+        index_nl = unistore.execute(vql, config=PlannerConfig(join_strategy="index-nl"))
+        mqp = unistore.execute(vql, mode="mqp")
+        assert "IndexNestedLoopJoin" in index_nl.plan
+        assert f"mqp: {method} " in mqp.plan
+        assert _canonical(index_nl.rows) == reference
+        assert _canonical(mqp.rows) == reference
+
+
 class TestSimilarityJoins:
     def test_naive_and_qgram_agree(self, env):
         _store, triples, ctx = env
-        left = AttributeScan(TriplePattern(Var("p"), Literal("published_in"), Var("c")))
+        left = attribute_scan(TriplePattern(Var("p"), Literal("published_in"), Var("c")))
         right_pattern = TriplePattern(Var("k"), Literal("confname"), Var("cn"))
         naive = NaiveSimilarityJoin(
-            left, AttributeScan(right_pattern), Var("c"), Var("cn"), 1
+            left, attribute_scan(right_pattern), Var("c"), Var("cn"), 1
         ).execute(ctx)
         qgram = QGramSimilarityJoin(
             left,
@@ -267,7 +428,7 @@ class TestSimilarityJoins:
 class TestRanking:
     def test_topn_prune_equals_naive(self, env):
         _store, _triples, ctx = env
-        child = AttributeScan(TriplePattern(Var("a"), Literal("age"), Var("v")))
+        child = attribute_scan(TriplePattern(Var("a"), Literal("age"), Var("v")))
         items = (OrderItem(Var("v"), descending=True),)
         pruned = TopNOp(child, items, n=5, prune=True).execute(ctx)
         naive = TopNOp(child, items, n=5, prune=False).execute(ctx)
@@ -275,7 +436,7 @@ class TestRanking:
 
     def test_topn_prune_ships_fewer_bytes(self, env):
         store, _triples, ctx = env
-        child = AttributeScan(TriplePattern(Var("a"), Literal("age"), Var("v")))
+        child = attribute_scan(TriplePattern(Var("a"), Literal("age"), Var("v")))
         items = (OrderItem(Var("v")),)
         before = store.pnet.net.stats.bytes
         TopNOp(child, items, n=2, prune=True).execute(ctx)
@@ -287,10 +448,10 @@ class TestRanking:
 
     def test_skyline_prune_equals_naive(self, env):
         _store, triples, ctx = env
-        base_left = AttributeScan(TriplePattern(Var("a"), Literal("age"), Var("g")))
+        base_left = attribute_scan(TriplePattern(Var("a"), Literal("age"), Var("g")))
         base_right_pattern = TriplePattern(Var("a"), Literal("num_of_pubs"), Var("n"))
         child = IndexNestedLoopJoin(
-            base_left, AttributeScan(base_right_pattern), right_pattern=base_right_pattern
+            base_left, attribute_scan(base_right_pattern), right_pattern=base_right_pattern
         )
         items = (SkylineItem(Var("g"), maximize=False), SkylineItem(Var("n"), maximize=True))
         pruned = SkylineOp(child, items, prune=True).execute(ctx)
@@ -301,7 +462,7 @@ class TestRanking:
         from repro.algebra.semantics import dominates, skyline_values
 
         _store, _triples, ctx = env
-        child = AttributeScan(TriplePattern(Var("a"), Literal("age"), Var("v")))
+        child = attribute_scan(TriplePattern(Var("a"), Literal("age"), Var("v")))
         items = (SkylineItem(Var("v"), maximize=False),)
         result = SkylineOp(child, items).execute(ctx)
         vectors = [skyline_values(r, items) for r in result.all_bindings()]

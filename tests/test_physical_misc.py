@@ -7,11 +7,11 @@ import pytest
 from repro.bench import ConferenceWorkload
 from repro.errors import PlanningError
 from repro.physical import (
-    AttributeScan,
     CollectOp,
     DifferenceOp,
     ExecutionContext,
     FilterOp,
+    IndexRange,
     IntersectionOp,
     LeftJoinOp,
     LimitOp,
@@ -22,6 +22,7 @@ from repro.physical import (
 )
 from repro.pgrid import build_network
 from repro.triples import DistributedTripleStore, Triple
+from repro.triples.index import IndexKind, av_attribute_range
 from repro.vql import parse
 from repro.vql.ast import Literal, OrderItem, TriplePattern, Var
 
@@ -59,7 +60,8 @@ def _names(result):
 
 
 def scan(attr, var="n", subject="a"):
-    return AttributeScan(TriplePattern(Var(subject), Literal(attr), Var(var)))
+    pattern = TriplePattern(Var(subject), Literal(attr), Var(var))
+    return IndexRange(pattern, (), IndexKind.AV, av_attribute_range(attr), "attribute-scan")
 
 
 class TestFlowOperators:
