@@ -128,10 +128,10 @@ def lookup_key_pool(store, attributes: tuple[str, ...] = ("published_in", "title
     returned keys are sorted by descending posting count — rank 0 is the
     most popular value, ready for Zipf-ranked sampling.
     """
-    from repro.triples.index import IndexKind, av_key
+    from repro.triples.index import IndexKind, av_index_range, av_key
 
     counts: dict[str, int] = {}
-    for entry in store.pnet.all_entries():
+    for entry in store.pnet.all_entries(av_index_range()):
         posting = entry.value
         kind = getattr(posting, "kind", None)
         if kind is not IndexKind.AV:

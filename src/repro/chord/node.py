@@ -59,13 +59,6 @@ class ChordNode(Node):
     def get_local(self, key: str) -> Any | None:
         return self.store.get(chord_hash(key), {}).get(key)
 
-    def delete_local(self, key: str) -> bool:
-        bucket = self.store.get(chord_hash(key))
-        if bucket and key in bucket:
-            del bucket[key]
-            return True
-        return False
-
     @property
     def load(self) -> int:
         return sum(len(bucket) for bucket in self.store.values())

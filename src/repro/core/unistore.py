@@ -458,12 +458,12 @@ class UniStore:
 
     def _all_triples(self) -> list[Triple]:
         """Every distinct triple in the overlay (via the A#v postings)."""
-        from repro.triples.index import IndexKind
+        from repro.triples.index import IndexKind, av_index_range
         from repro.triples.store import Posting
 
         triples = []
         seen = set()
-        for entry in self.pnet.all_entries():
+        for entry in self.pnet.all_entries(av_index_range()):
             posting = entry.value
             if isinstance(posting, Posting) and posting.kind is IndexKind.AV:
                 identity = posting.triple.as_tuple()

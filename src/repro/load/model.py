@@ -303,11 +303,6 @@ class LoadModel:
         queue = self._queues.get(node_id)
         return queue.backlog(now) if queue is not None else 0.0
 
-    def queue_depth(self, node_id: str, now: float) -> int:
-        """Jobs in ``node_id``'s system at ``now`` (0 for untouched peers)."""
-        queue = self._queues.get(node_id)
-        return queue.depth_at(now) if queue is not None else 0
-
     def advertised_depth(self, node_id: str, now: float) -> float:
         """The smoothed depth ``node_id`` piggybacks on outgoing messages."""
         queue = self._queues.get(node_id)
@@ -358,12 +353,6 @@ class LoadModel:
         return {
             node_id: queue.busy_time / horizon for node_id, queue in self._queues.items()
         }
-
-    def sojourns(self, node_id: str | None = None) -> list[float]:
-        """Recorded per-message sojourn times (optionally for one peer)."""
-        return [
-            s.sojourn for s in self.samples if node_id is None or s.node_id == node_id
-        ]
 
     def snapshot(self, horizon: float | None = None) -> dict:
         """Stable per-peer summary (sorted keys; suitable for determinism tests)."""

@@ -66,13 +66,6 @@ class Network:
         except KeyError:
             raise NodeUnreachableError(node_id, "unknown node") from None
 
-    def is_online(self, node_id: str) -> bool:
-        node = self.nodes.get(node_id)
-        return node is not None and node.online
-
-    def online_nodes(self) -> list[Node]:
-        return [n for n in self.nodes.values() if n.online]
-
     def __len__(self) -> int:
         return len(self.nodes)
 

@@ -5,7 +5,9 @@ system and the actual data distribution" (§2).  In the real system these
 statistics are themselves metadata triples maintained in the network; the
 reproduction computes them as a catalog snapshot over the overlay's global
 view (equivalent information, zero-message access), refreshed explicitly via
-:meth:`CatalogStatistics.from_store`.
+:meth:`CatalogStatistics.from_store`.  The snapshot scans the A#v index only:
+it holds exactly one posting per stored triple, so the OID, v and q-gram
+postings (most of the store) are never visited.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.pgrid.network import PGridNetwork
-from repro.triples.index import IndexKind
+from repro.triples.index import IndexKind, av_index_range
 from repro.triples.store import DistributedTripleStore, Posting
 from repro.triples.triple import Value
 from repro.vql.ast import Literal, TriplePattern
@@ -60,7 +62,7 @@ class CatalogStatistics:
         )
         distinct_values: dict[str, set[Value]] = {}
         oids: set[str] = set()
-        for entry in pnet.all_entries():
+        for entry in pnet.all_entries(av_index_range()):
             posting = entry.value
             if not isinstance(posting, Posting) or posting.kind is not IndexKind.AV:
                 continue

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from operator import attrgetter
 
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
-from repro.pgrid.keys import common_prefix_length, flip, increment_path, responsible
+from repro.pgrid.datastore import Entry
+from repro.pgrid.keys import canonical, common_prefix_length, flip, increment_path, responsible
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 
@@ -178,27 +180,36 @@ def bulk_load(pnet: PGridNetwork, items: list[tuple[str, str, object]]) -> None:
     replica of its responsible group, without routing messages.
 
     Benchmark setup uses this so that measured traffic reflects queries only.
+    Versions follow item order.  The entries are sorted by key once (stably,
+    so equal keys keep item order); a group's entries are then the one slice
+    between the canonical bounds of its path, found with two bisects (see
+    :mod:`repro.pgrid.keys`).  Raises :class:`LookupError` unless the groups'
+    slices cover every entry exactly once: a key outside every group, or two
+    groups whose paths overlap.
     """
-    groups = sorted(pnet.leaf_groups().items())
-    group_paths = [path for path, _ in groups]
-
-    def group_for(key: str) -> list[PGridPeer]:
-        index = bisect_right(group_paths, key) - 1
-        if index >= 0 and responsible(group_paths[index], key):
-            return groups[index][1]
-        # Fall back to the (rare) zero-padding edge case.
-        for path, peers in groups:
-            if responsible(path, key):
-                return peers
-        raise LookupError(f"no group responsible for key {key[:24]!r}")
-
-    from repro.pgrid.datastore import Entry
-
-    for key, item_id, value in items:
-        version = pnet.next_version()
-        entry = Entry(key=key, item_id=item_id, value=value, version=version)
-        for peer in group_for(key):
-            peer.store.put(entry)
+    entries = [
+        Entry(key=key, item_id=item_id, value=value, version=pnet.next_version())
+        for key, item_id, value in items
+    ]
+    entries.sort(key=attrgetter("key"))
+    keys = [entry.key for entry in entries]
+    placed = 0  # entries[:placed] are stored; the next slice must start here
+    for path, peers in sorted(pnet.leaf_groups().items()):
+        start = bisect_left(keys, canonical(path))
+        upper = increment_path(path)
+        stop = bisect_left(keys, upper, start) if upper is not None else len(keys)
+        if start == stop:
+            continue
+        if start != placed:
+            key = keys[min(start, placed)]
+            problem = "lies in two groups" if start < placed else "has no responsible group"
+            raise LookupError(f"key {key[:24]!r} {problem}")
+        for entry in entries[start:stop]:
+            for peer in peers:
+                peer.store.put(entry)
+        placed = stop
+    if placed != len(keys):
+        raise LookupError(f"key {keys[placed][:24]!r} has no responsible group")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Any, Iterator
 from repro.pgrid.keys import KeyRange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     """One stored item: identity ``(key, item_id)``, payload ``value``, ``version``."""
 

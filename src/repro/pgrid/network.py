@@ -551,21 +551,19 @@ class PGridNetwork:
         """All peers whose path starts with ``prefix`` (global view)."""
         return [p for p in self.peers if p.path.startswith(prefix)]
 
-    def load_by_peer(self) -> dict[str, int]:
-        """Entries stored per peer — the load-balancing metric of exp. E3."""
-        return {p.node_id: p.load for p in self.peers}
+    def all_entries(self, key_range: KeyRange | None = None) -> list[Entry]:
+        """Every entry in the overlay, or in ``key_range``, deduplicated across
+        replicas: the newest version of each identity, in first-seen order.
 
-    def all_entries(self) -> list[Entry]:
-        """Every entry in the overlay, deduplicated across replicas."""
+        With a range, each peer contributes only its sorted slice of it
+        (:meth:`DataStore.scan`), so the cost follows the range, not the store.
+        """
         seen: dict[tuple[str, str], Entry] = {}
         for peer in self.peers:
-            for entry in peer.store:
+            entries = peer.store if key_range is None else peer.store.scan(key_range)
+            for entry in entries:
                 identity = (entry.key, entry.item_id)
                 existing = seen.get(identity)
                 if existing is None or entry.version > existing.version:
                     seen[identity] = entry
         return list(seen.values())
-
-    def entries_in_range(self, key_range: KeyRange) -> list[Entry]:
-        """Global-view range scan (ground truth for range-query tests)."""
-        return [e for e in self.all_entries() if key_range.contains(e.key)]

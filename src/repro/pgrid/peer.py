@@ -61,9 +61,6 @@ class RoutingTable:
     def levels(self) -> list[int]:
         return sorted(self._levels)
 
-    def all_refs(self) -> set[str]:
-        return {r for refs in self._levels.values() for r in refs}
-
 
 class PGridPeer(Node):
     """One P-Grid peer: path + routing table + replica list + datastore."""

@@ -67,7 +67,7 @@ def oid_key(oid: str) -> str:
 
 def av_key(attribute: str, value: Value) -> str:
     """DHT key of a triple under the A#v index."""
-    return INDEX_TAG[IndexKind.AV] + encode_string(attribute) + _SEP_BITS + encode_value(value)
+    return _av_prefix(attribute) + encode_value(value)
 
 
 def v_key(value: Value) -> str:
@@ -75,15 +75,30 @@ def v_key(value: Value) -> str:
     return INDEX_TAG[IndexKind.V] + encode_value(value)
 
 
+def triple_keys(oid: str, attribute: str, value: Value) -> tuple[str, str, str]:
+    """The OID, A#v and v keys of one triple, encoding its value once."""
+    value_bits = encode_value(value)
+    return oid_key(oid), _av_prefix(attribute) + value_bits, INDEX_TAG[IndexKind.V] + value_bits
+
+
+def _av_prefix(attribute: str) -> str:
+    """Key prefix shared by every A#v posting of ``attribute``."""
+    return INDEX_TAG[IndexKind.AV] + encode_string(attribute) + _SEP_BITS
+
+
 def qgram_key(gram: str) -> str:
     """DHT key of a q-gram posting."""
     return INDEX_TAG[IndexKind.QGRAM] + encode_string(gram)
 
 
+def av_index_range() -> KeyRange:
+    """Key range covering the whole A#v index: one posting per stored triple."""
+    return KeyRange.subtree(INDEX_TAG[IndexKind.AV])
+
+
 def av_attribute_range(attribute: str) -> KeyRange:
     """Key range covering *all* postings of one attribute in the A#v index."""
-    prefix = INDEX_TAG[IndexKind.AV] + encode_string(attribute) + _SEP_BITS
-    return KeyRange.subtree(prefix)
+    return KeyRange.subtree(_av_prefix(attribute))
 
 
 def av_value_range(
@@ -117,14 +132,8 @@ def av_value_range(
 
 def av_string_prefix_range(attribute: str, prefix_text: str) -> KeyRange:
     """Key range for string values of ``attribute`` starting with ``prefix_text``."""
-    prefix = (
-        INDEX_TAG[IndexKind.AV]
-        + encode_string(attribute)
-        + _SEP_BITS
-        + "1"  # string type tag inside encode_value
-        + encode_string(prefix_text)
-    )
-    return KeyRange.subtree(prefix)
+    # "1" is the string type tag inside encode_value.
+    return KeyRange.subtree(_av_prefix(attribute) + "1" + encode_string(prefix_text))
 
 
 def v_value_range(

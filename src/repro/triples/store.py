@@ -38,6 +38,7 @@ from repro.triples.index import (
     av_value_range,
     oid_key,
     qgram_key,
+    triple_keys,
     v_key,
     v_string_prefix_range,
     v_value_range,
@@ -45,7 +46,7 @@ from repro.triples.index import (
 from repro.triples.triple import Triple, Value, triples_from_tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Posting:
     """What is physically stored in the DHT: an index-tagged triple copy."""
 
@@ -53,9 +54,10 @@ class Posting:
     triple: Triple
 
 
-def _item_id(kind: IndexKind, triple: Triple, extra: str = "") -> str:
+def _item_id(kind: IndexKind, identity: str, extra: str = "") -> str:
+    """DHT item id of a posting of the triple with ``identity``."""
     suffix = f"\x03{extra}" if extra else ""
-    return f"{kind.value}\x03{triple.identity()}{suffix}"
+    return f"{kind.value}\x03{identity}{suffix}"
 
 
 class DistributedTripleStore:
@@ -76,25 +78,24 @@ class DistributedTripleStore:
     # -- posting construction --------------------------------------------------
 
     def postings(self, triple: Triple) -> list[tuple[str, str, Posting]]:
-        """All ``(key, item_id, posting)`` a triple is published under."""
+        """All ``(key, item_id, posting)`` a triple is published under.
+
+        Q-gram postings follow the grams' first occurrence in the value, so
+        the order (and the versions a load assigns) never depends on hashing.
+        """
+        identity = triple.identity()
+        oid, av, v = triple_keys(triple.oid, triple.attribute, triple.value)
         entries = [
-            (oid_key(triple.oid), _item_id(IndexKind.OID, triple), Posting(IndexKind.OID, triple)),
-            (
-                av_key(triple.attribute, triple.value),
-                _item_id(IndexKind.AV, triple),
-                Posting(IndexKind.AV, triple),
-            ),
-            (v_key(triple.value), _item_id(IndexKind.V, triple), Posting(IndexKind.V, triple)),
+            (oid, _item_id(IndexKind.OID, identity), Posting(IndexKind.OID, triple)),
+            (av, _item_id(IndexKind.AV, identity), Posting(IndexKind.AV, triple)),
+            (v, _item_id(IndexKind.V, identity), Posting(IndexKind.V, triple)),
         ]
         if self._qgram_indexed(triple):
             assert isinstance(triple.value, str)
-            for gram in set(qgrams(triple.value, q=self.qgram_q)):
+            posting = Posting(IndexKind.QGRAM, triple)
+            for gram in dict.fromkeys(qgrams(triple.value, q=self.qgram_q)):
                 entries.append(
-                    (
-                        qgram_key(gram),
-                        _item_id(IndexKind.QGRAM, triple, extra=gram),
-                        Posting(IndexKind.QGRAM, triple),
-                    )
+                    (qgram_key(gram), _item_id(IndexKind.QGRAM, identity, gram), posting)
                 )
         return entries
 
@@ -144,11 +145,7 @@ class DistributedTripleStore:
 
     def bulk_insert(self, triples: list[Triple]) -> None:
         """Oracle placement of many triples (no routing messages); setup only."""
-        items = []
-        for triple in triples:
-            for key, item_id, posting in self.postings(triple):
-                items.append((key, item_id, posting))
-        bulk_load(self.pnet, items)
+        bulk_load(self.pnet, [posting for triple in triples for posting in self.postings(triple)])
 
     def delete(self, triple: Triple, start: PGridPeer | None = None) -> Trace:
         """Withdraw a triple from every index."""

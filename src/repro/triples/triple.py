@@ -26,12 +26,12 @@ MIN_CHAR = "\x03"
 
 
 def _check_text(text: str, what: str) -> str:
-    if any(ch < MIN_CHAR for ch in text):
+    if text and min(text) < MIN_CHAR:
         raise StorageError(f"{what} contains reserved control characters: {text!r}")
     return text
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triple:
     """One ``(OID, attribute, value)`` fact."""
 
