@@ -17,6 +17,15 @@ carries a per-peer queueing layer (:mod:`repro.load.model`): with a load
 model attached, a delivery completes at link latency + queueing delay +
 service time, so hot peers become genuine latency bottlenecks.
 
+Every routed P-Grid operation describes its messages in one form, a list of
+:data:`~repro.net.scheduler.ChainSpec` chains (hops, then follow-up sends
+returned by an arrival action), and both models interpret that form with one
+signature: :meth:`Network.run_chains` composes ``send`` traces analytically,
+:meth:`EventScheduler.run_chains <repro.net.scheduler.EventScheduler.run_chains>`
+runs the chains on the simulated clock.  Each interpreter keeps its own
+jitter order (depth first here, firing order there), so neither model's
+figures depend on the other.
+
 ``Network`` also hosts cross-cutting overlay policy flags that routing
 consults via ``peer.network`` (currently :attr:`Network.route_warming`, the
 piggybacked route-cache warming switch).
@@ -26,13 +35,16 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import NodeUnreachableError
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.node import Node
 from repro.net.stats import NetworkStats, StatsFrame
 from repro.net.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.net.scheduler import ChainSpec, Hops, PartialChain
 
 
 class Network:
@@ -110,6 +122,36 @@ class Network:
         latency = self.link_latency(src, dst) + self.latency_model.sample_jitter(self.rng)
         self.stats.record(kind, size)
         return Trace.hop(latency)
+
+    def _send_hops(self, hops: Hops, kind: str, size: int) -> Trace:
+        trace = Trace.ZERO
+        for src, dst in hops:
+            trace = trace.then(self.send(src, dst, kind, size))
+        return trace
+
+    def run_chains(
+        self, chains: list[ChainSpec], untracked: list[PartialChain] | tuple = ()
+    ) -> Trace:
+        """Analytic interpreter of a routed wave.
+
+        The causal-trace twin of :meth:`EventScheduler.run_chains
+        <repro.net.scheduler.EventScheduler.run_chains>`, with the same
+        arguments and accounting.  Per chain, its hops are sent in order,
+        then ``on_arrival`` runs (given the chain's latency so far) and its
+        follow-up sends go out in parallel; the chains compose with
+        ``Trace.parallel``.  ``untracked`` chains are sent last and stay out
+        of the returned trace.  Jitter is drawn depth first, chain by chain.
+        """
+        branches = []
+        for hops, kind, size, on_arrival in chains:
+            trace = self._send_hops(hops, kind, size)
+            sends = on_arrival(trace.latency)
+            if sends:
+                trace = trace.then(Trace.parallel([self.send(*send) for send in sends]))
+            branches.append(trace)
+        for hops, kind, size in untracked:
+            self._send_hops(hops, kind, size)
+        return Trace.parallel(branches)
 
     # -- accounting ---------------------------------------------------------
 

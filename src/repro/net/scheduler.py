@@ -55,7 +55,7 @@ sequence is byte-identical to PR 4's scheduler (asserted by tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.errors import NodeUnreachableError
 from repro.net.simulator import EventSimulator
@@ -75,8 +75,32 @@ Completion = Callable[[float], None]
 #: ``(src, dst, kind, size)`` messages, as accepted by :meth:`EventScheduler.fanout`.
 Sends = list[tuple[str, str, str, int]]
 
-#: One routed wave: ``(hops, kind, size, on_arrival)``; see :meth:`EventScheduler.run_chains`.
-ChainSpec = tuple[list[tuple[str, str]], str, int, Callable[[float], Sends]]
+#: A discovered route: ``(src_id, dst_id)`` pairs, sent in order.
+Hops = list[tuple[str, str]]
+
+#: One chain of a routed wave: ``(hops, kind, size, on_arrival)``, where
+#: ``on_arrival(time)`` does the destination-side work and returns the
+#: follow-up sends; see :meth:`EventScheduler.run_chains`.
+ChainSpec = tuple[Hops, str, int, Callable[[float], Sends]]
+
+#: A chain whose route failed: its partial ``(hops, kind, size)`` are sent
+#: and accounted, but the wave does not wait for it.
+PartialChain = tuple[Hops, str, int]
+
+
+class ChainRunner(Protocol):
+    """An interpreter of routed waves: :meth:`Network.run_chains
+    <repro.net.network.Network.run_chains>` (causal trace) or
+    :meth:`EventScheduler.run_chains` (simulated time)."""
+
+    def run_chains(
+        self, chains: list[ChainSpec], untracked: list[PartialChain] | tuple = ()
+    ) -> Trace: ...
+
+
+def then_send(sends: Sends | tuple = ()) -> Callable[[float], Sends | tuple]:
+    """An ``on_arrival`` whose follow-up sends are fixed when the wave is built."""
+    return lambda _time: sends
 
 
 @dataclass(frozen=True)
@@ -327,43 +351,42 @@ class EventScheduler:
         )
 
     def run_chains(
-        self,
-        chains: list[ChainSpec],
-        untracked: list[tuple[list[tuple[str, str]], str, int]] | tuple = (),
+        self, chains: list[ChainSpec], untracked: list[PartialChain] | tuple = ()
     ) -> Trace:
-        """Run hop chains concurrently from ``now`` and measure the wave.
+        """Run a routed wave concurrently from ``now`` and measure it.
 
-        Each chain is ``(hops, kind, size, on_arrival)``: the hops depart as
-        a callback chain, and when the destination is reached ``on_arrival``
-        runs the destination-side work and returns follow-up sends
-        (``(src, dst, kind, size)`` — replica pushes, a reply, a forward).
-        The chain completes when its last follow-up is delivered (or at
-        arrival when there is none); the wave completes at the max over all
-        chains.  ``untracked`` chains are scheduled and accounted but never
-        complete — the partial hops of failed routes.
+        This is the event interpreter of the one chain form every routed
+        P-Grid operation emits; :meth:`Network.run_chains
+        <repro.net.network.Network.run_chains>` is its analytic twin, with
+        the same arguments and the same accounting.  Each chain's hops depart
+        as a callback chain; at the destination ``on_arrival`` runs with the
+        arrival instant and returns follow-up sends (replica pushes, a
+        reply, a forward), which depart together.  A chain completes when
+        its last follow-up is delivered (or at arrival when there is none);
+        the wave completes at the max over all chains.  ``untracked`` chains
+        are scheduled and accounted but never complete — the partial hops of
+        failed routes.
 
-        This is the shared scaffold behind the event-driven modes of
-        ``insert_many`` / ``lookup_many`` and the rehash join's shipping
-        wave, so their message/hop accounting cannot drift apart.
+        Each interpreter draws latency jitter in its own order: here in
+        firing order on the simulated clock, in the analytic twin depth
+        first, chain by chain.  Message and hop counts always agree.
         """
         start_time = self.now
         completions: list[float] = []
         totals = {"messages": 0, "critical": 0}
         for hops, kind, size, on_arrival in chains:
-            totals["messages"] += len(hops)
-            totals["critical"] = max(totals["critical"], len(hops))
+            sent = sum(src != dst for src, dst in hops)
+            totals["messages"] += sent
+            totals["critical"] = max(totals["critical"], sent)
 
-            def arrived(
-                time: float,
-                hops: list[tuple[str, str]] = hops,
-                on_arrival: Callable = on_arrival,
-            ) -> None:
+            def arrived(time: float, sent: int = sent, on_arrival: Callable = on_arrival) -> None:
                 sends = on_arrival(time)
                 if not sends:
                     completions.append(time)
                     return
-                totals["messages"] += len(sends)
-                totals["critical"] = max(totals["critical"], len(hops) + 1)
+                replies = sum(src != dst for src, dst, _kind, _size in sends)
+                totals["messages"] += replies
+                totals["critical"] = max(totals["critical"], sent + min(replies, 1))
                 for src, dst, send_kind, send_size in sends:
                     self.send_at(
                         time,

@@ -48,7 +48,6 @@ from repro.pgrid.replication import (
 from repro.pgrid.routing import (
     RouteCache,
     point_key,
-    replay_hops,
     route,
     route_hops,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "data_split_paths",
     "route",
     "route_hops",
-    "replay_hops",
     "point_key",
     "RouteCache",
     "range_query_shower",

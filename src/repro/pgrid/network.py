@@ -29,6 +29,15 @@ Every data operation runs in one of two execution models:
   replica pushes genuinely interleave, and an operation completes at the
   *measured* max arrival across its regions.  Routing decisions and message
   accounting are identical in both models; only how latency arises differs.
+
+Routed operations describe their messages once, as
+:data:`~repro.net.scheduler.ChainSpec` chains — per region its hops, the
+destination-side work, and the follow-up sends that work returns — and hand
+them to :meth:`PGridNetwork.run_chains`, the one place that picks the
+interpreter: :meth:`Network.run_chains <repro.net.network.Network.run_chains>`
+or :meth:`EventScheduler.run_chains
+<repro.net.scheduler.EventScheduler.run_chains>`.  Each interpreter draws
+latency jitter in its own order (depth first, or firing order).
 """
 
 from __future__ import annotations
@@ -40,13 +49,13 @@ from typing import Iterator
 
 from repro.errors import RoutingError
 from repro.net.network import Network
-from repro.net.scheduler import EventScheduler
+from repro.net.scheduler import ChainSpec, EventScheduler, PartialChain, then_send
 from repro.net.simulator import EventSimulator
 from repro.net.trace import Trace
 from repro.pgrid.datastore import Entry
 from repro.pgrid.keys import KeyRange, is_complete_partition, responsible
 from repro.pgrid.peer import PGridPeer
-from repro.pgrid.routing import account_hops, point_key, replay_hops, route, route_hops
+from repro.pgrid.routing import point_key, route, route_hops
 
 
 class PGridNetwork:
@@ -119,6 +128,13 @@ class PGridNetwork:
             if self.scheduler is scheduler:
                 self.detach_scheduler()
 
+    def run_chains(
+        self, chains: list[ChainSpec], untracked: list[PartialChain] | tuple = ()
+    ) -> Trace:
+        """Interpret a routed wave in the active execution model."""
+        runner = self.net if self.scheduler is None else self.scheduler
+        return runner.run_chains(chains, untracked)
+
     def ship(self, src_id: str, dst_id: str, kind: str, size: int = 1) -> Trace:
         """One accounted message in the active execution model."""
         if self.scheduler is None or src_id == dst_id:
@@ -189,7 +205,7 @@ class PGridNetwork:
         entry = Entry(key=key, item_id=item_id, value=value, version=version)
         # Point semantics: land on the exact responsible leaf, not merely an
         # entry point into the key's subtree (matters for deep tries).
-        destination, trace = route(start, point_key(key), kind=kind, scheduler=self.scheduler)
+        destination, trace = route(start, point_key(key), kind=kind, runner=self)
         destination.store.put(entry)
         pushes = []
         for replica_id in destination.online_replicas():
@@ -230,30 +246,14 @@ class PGridNetwork:
         being the only peer that serves its key.
         """
         start = start or self.random_online_peer()
-        policy = self.replica_diffusion if diffusion is None else diffusion
-        if policy == "none":
-            destination, trace = route(start, point_key(key), kind=kind, scheduler=self.scheduler)
-            return destination.store.get(key), trace, destination
-        from repro.load.diffusion import diffuse_route  # deferred: load imports pgrid
-
         try:
             destination, hops = route_hops(start, point_key(key))
         except RoutingError as error:
-            error.trace = account_hops(
-                self.net, getattr(error, "hops", []), kind, 1, self.scheduler
-            )
+            error.trace = self.run_chains([(error.hops, kind, 1, then_send())])
             raise
-        destination, hops = diffuse_route(
-            destination,
-            hops,
-            policy=policy,
-            rng=self.rng,
-            load=self.scheduler.load if self.scheduler else None,
-            now=self.scheduler.now if self.scheduler else 0.0,
-            hints=self.net.hints,
-            observer=start.node_id,
-        )
-        trace = account_hops(self.net, hops, kind, 1, self.scheduler)
+        policy = self.replica_diffusion if diffusion is None else diffusion
+        destination, hops = self._diffuse(destination, hops, policy, observer=start.node_id)
+        trace = self.run_chains([(hops, kind, 1, then_send())])
         return destination.store.get(key), trace, destination
 
     # -- bulk data operations (destination-grouped, message-accounted) ---------
@@ -263,11 +263,12 @@ class PGridNetwork:
     ) -> list[tuple[PGridPeer, list[str], list[tuple[str, str]]]]:
         """Group distinct ``keys`` by responsible region, routing once each.
 
-        Routes are *discovered* only (no messages yet — callers replay the
+        Routes are *discovered* only (no messages yet — callers charge the
         returned hop lists at the batch's real size).  Returns
         ``(destination, region_keys, hops)`` per region.  A routing failure
-        propagates as :class:`RoutingError` with the partial trace accounted
-        under the operation's ``kind`` at size 1.
+        propagates as :class:`RoutingError` with the partial trace charged
+        in the active execution model under the operation's ``kind`` at
+        size 1.
         """
         pending = sorted(set(keys))
         regions: list[tuple[PGridPeer, list[str], list[tuple[str, str]]]] = []
@@ -278,7 +279,7 @@ class PGridNetwork:
                     start, point_key(representative), rng=rng or self.rng
                 )
             except RoutingError as error:
-                error.trace = replay_hops(self.net, getattr(error, "hops", []), kind, 1)
+                error.trace = self.run_chains([(error.hops, kind, 1, then_send())])
                 raise
             # Point semantics (zero-padded comparison), matching the route
             # above: a key is covered iff this leaf holds its point.
@@ -288,38 +289,30 @@ class PGridNetwork:
             regions.append((destination, covered, hops))
         return regions
 
-    def _diffuse_regions(
-        self,
-        regions: list[tuple[PGridPeer, list[str], list[tuple[str, str]]]],
-        observer: str | None = None,
-    ) -> list[tuple[PGridPeer, list[str], list[tuple[str, str]]]]:
-        """Apply the read-diffusion policy to each region's last hop.
+    def _diffuse(
+        self, destination: PGridPeer, hops: list[tuple[str, str]], policy: str, observer: str
+    ) -> tuple[PGridPeer, list[tuple[str, str]]]:
+        """Apply a read-diffusion policy to a discovered route's last hop.
 
         Reads only: writes must keep landing on the routed destination (its
         replica pushes cover the group).  A "none" policy is the identity.
         ``observer`` (the initiating peer) supplies the hint table a
         ``least-busy`` policy ranks members by.
         """
-        if self.replica_diffusion == "none":
-            return regions
+        if policy == "none":
+            return destination, hops
         from repro.load.diffusion import diffuse_route  # deferred: load imports pgrid
 
-        load = self.scheduler.load if self.scheduler else None
-        now = self.scheduler.now if self.scheduler else 0.0
-        diffused = []
-        for destination, region_keys, hops in regions:
-            destination, hops = diffuse_route(
-                destination,
-                hops,
-                policy=self.replica_diffusion,
-                rng=self.rng,
-                load=load,
-                now=now,
-                hints=self.net.hints,
-                observer=observer,
-            )
-            diffused.append((destination, region_keys, hops))
-        return diffused
+        return diffuse_route(
+            destination,
+            hops,
+            policy=policy,
+            rng=self.rng,
+            load=self.scheduler.load if self.scheduler else None,
+            now=self.scheduler.now if self.scheduler else 0.0,
+            hints=self.net.hints,
+            observer=observer,
+        )
 
     def insert_many(
         self,
@@ -346,7 +339,7 @@ class PGridNetwork:
         by_key: dict[str, list[tuple[str, object]]] = defaultdict(list)
         for key, item_id, value in items:
             by_key[key].append((item_id, value))
-        regions = []
+        chains: list[ChainSpec] = []
         for destination, region_keys, hops in self._route_regions(by_key, start, kind):
             entries = [
                 Entry(key=key, item_id=item_id, value=value, version=self.next_version())
@@ -355,59 +348,15 @@ class PGridNetwork:
             ]
             for entry in entries:
                 destination.store.put(entry)
-            replica_ids = destination.online_replicas()
-            for replica_id in replica_ids:
+            pushes = []
+            for replica_id in destination.online_replicas():
                 replica = self.net.nodes[replica_id]
                 assert isinstance(replica, PGridPeer)
                 for entry in entries:
                     replica.store.put(entry)
-            regions.append((destination, hops, len(entries), replica_ids))
-
-        if self.scheduler is not None:
-            return self._run_regions_event(regions, kind)
-
-        branches = []
-        for destination, hops, batch, replica_ids in regions:
-            trace = replay_hops(self.net, hops, kind, batch)
-            pushes = [
-                self.net.send(destination.node_id, replica_id, kind, size=batch)
-                for replica_id in replica_ids
-            ]
-            if pushes:
-                trace = trace.then(Trace.parallel(pushes))
-            branches.append(trace)
-        return Trace.parallel(branches)
-
-    def _run_regions_event(
-        self,
-        regions: list[tuple[PGridPeer, list[tuple[str, str]], int, list[str]]],
-        kind: str,
-    ) -> Trace:
-        """Run insert-style region fan-outs as interleaved simulated events.
-
-        Every region's hop chain starts at the same instant; when a chain
-        arrives at its destination the replica pushes depart concurrently.
-        The combined trace completes at the max arrival over all regions and
-        pushes — measured, not composed.
-        """
-        scheduler = self.scheduler
-        assert scheduler is not None
-        chains = []
-        for destination, hops, batch, replica_ids in regions:
-
-            def pushes(
-                _time: float,
-                destination: PGridPeer = destination,
-                batch: int = batch,
-                replica_ids: list[str] = replica_ids,
-            ) -> list[tuple[str, str, str, int]]:
-                return [
-                    (destination.node_id, replica_id, kind, batch)
-                    for replica_id in replica_ids
-                ]
-
-            chains.append((hops, kind, batch, pushes))
-        return scheduler.run_chains(chains)
+                pushes.append((destination.node_id, replica_id, kind, len(entries)))
+            chains.append((hops, kind, len(entries), then_send(pushes)))
+        return self.run_chains(chains)
 
     def lookup_many(
         self, keys, start: PGridPeer | None = None, kind: str = "lookup"
@@ -433,43 +382,12 @@ class PGridNetwork:
         unique = set(keys)
         if not unique:
             return {}, Trace.ZERO
-        regions = self._route_regions(unique, start, kind)
-        regions = self._diffuse_regions(regions, observer=start.node_id)
         results: dict[str, list[Entry]] = {}
-        if self.scheduler is not None:
-            trace = self._lookup_regions_event(regions, results, start, kind)
-            return results, trace
-        branches = []
-        for destination, region_keys, hops in regions:
-            trace = replay_hops(self.net, hops, kind, len(region_keys))
-            found = 0
-            for key in region_keys:
-                entries = destination.store.get(key)
-                results[key] = entries
-                found += len(entries)
-            if destination is not start:
-                trace = trace.then(
-                    self.net.send(destination.node_id, start.node_id, kind, size=max(1, found))
-                )
-            branches.append(trace)
-        return results, Trace.parallel(branches)
-
-    def _lookup_regions_event(
-        self,
-        regions: list[tuple[PGridPeer, list[str], list[tuple[str, str]]]],
-        results: dict[str, list[Entry]],
-        start: PGridPeer,
-        kind: str,
-    ) -> Trace:
-        """Event-driven multi-region lookup: chains out, replies back, max wins.
-
-        Each destination reads its store *at its arrival instant*; a region
-        completes when its reply lands back at ``start``.
-        """
-        scheduler = self.scheduler
-        assert scheduler is not None
-        chains = []
-        for destination, region_keys, hops in regions:
+        chains: list[ChainSpec] = []
+        for destination, region_keys, hops in self._route_regions(unique, start, kind):
+            destination, hops = self._diffuse(
+                destination, hops, self.replica_diffusion, observer=start.node_id
+            )
 
             def arrived(
                 _time: float,
@@ -481,12 +399,12 @@ class PGridNetwork:
                     entries = destination.store.get(key)
                     results[key] = entries
                     found += len(entries)
-                if destination is not start:
-                    return [(destination.node_id, start.node_id, kind, max(1, found))]
-                return []
+                if destination is start:
+                    return []
+                return [(destination.node_id, start.node_id, kind, max(1, found))]
 
             chains.append((hops, kind, len(region_keys), arrived))
-        return scheduler.run_chains(chains)
+        return results, self.run_chains(chains)
 
     def delete(self, key: str, item_id: str, start: PGridPeer | None = None) -> tuple[bool, Trace]:
         """Remove an identity from the responsible group's online replicas.
@@ -496,7 +414,7 @@ class PGridNetwork:
         replicas only (a documented simplification of ref. [4]).
         """
         start = start or self.random_online_peer()
-        destination, trace = route(start, point_key(key), kind="delete", scheduler=self.scheduler)
+        destination, trace = route(start, point_key(key), kind="delete", runner=self)
         removed = destination.store.delete(key, item_id)
         pushes = []
         for replica_id in destination.online_replicas():

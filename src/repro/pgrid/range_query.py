@@ -18,13 +18,17 @@ Both return ``(entries, trace, complete)`` — ``complete`` is False when some
 subtree was unreachable (all its replicas offline), matching the paper's
 best-effort guarantee discussion.
 
-When the overlay runs in event-driven mode (:meth:`PGridNetwork.event_driven`)
-the shower's fan-out tree is executed as interleaved events on the simulated
-clock: every edge of the tree departs when its parent actually received the
-query, sibling subtrees race each other, and the query completes when the
-last result funnels back — the measured counterpart of the analytic
-``Trace.parallel``.  The tree itself (which references are chosen) is
-identical in both models, so message counts agree.
+The shower's fan-out tree is chosen once, without sending anything
+(:func:`_expand_shower`), and then interpreted in the active execution model:
+a depth-first trace interpreter composes the edges with ``Trace.parallel``,
+and in event-driven mode (:meth:`PGridNetwork.event_driven`) every edge
+departs when its parent actually received the query, sibling subtrees race
+each other, and the query completes when the last result funnels back.  The
+tree (which references are chosen) is identical in both models, so message
+counts agree; each interpreter draws latency jitter in its own order (depth
+first, or firing order).  The sequential walk is a series of routes, each
+charged through :meth:`PGridNetwork.run_chains`, the one chain form both
+models share.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import RoutingError
+from repro.net.network import Network
 from repro.net.scheduler import EventScheduler
 from repro.net.trace import Trace
 from repro.pgrid.datastore import Entry
@@ -50,16 +55,7 @@ def range_query_shower(
     kind: str = "range",
 ) -> tuple[list[Entry], Trace, bool]:
     """Parallel (shower) range query; results funnel back to the initiator."""
-    start = start or pnet.random_online_peer()
-    rng = rng or pnet.rng
-    if pnet.scheduler is not None:
-        return _shower_event(
-            pnet, pnet.scheduler, start, key_range, rng, kind, collect=True, groups=None
-        )
-    entries, trace, complete = _shower_visit(
-        pnet, start, key_range, cover="", rng=rng, kind=kind, collect=True, groups=None
-    )
-    return entries, trace, complete
+    return _shower(pnet, key_range, start, rng, kind, collect=True, groups=None)
 
 
 def range_query_shower_groups(
@@ -75,80 +71,35 @@ def range_query_shower_groups(
     ``(peer_id, entries)`` pairs; the trace covers the forward fan-out only.
     Physical operators use this to choose their own data flow afterwards.
     """
-    start = start or pnet.random_online_peer()
-    rng = rng or pnet.rng
     groups: list[tuple[str, list[Entry]]] = []
-    if pnet.scheduler is not None:
-        _entries, trace, complete = _shower_event(
-            pnet, pnet.scheduler, start, key_range, rng, kind, collect=False, groups=groups
-        )
-        return groups, trace, complete
-    _entries, trace, complete = _shower_visit(
-        pnet, start, key_range, cover="", rng=rng, kind=kind, collect=False, groups=groups
+    _entries, trace, complete = _shower(
+        pnet, key_range, start, rng, kind, collect=False, groups=groups
     )
     return groups, trace, complete
 
 
-def _shower_visit(
+def _shower(
     pnet: PGridNetwork,
-    peer: PGridPeer,
     key_range: KeyRange,
-    cover: str,
-    rng: random.Random,
+    start: PGridPeer | None,
+    rng: random.Random | None,
     kind: str,
     collect: bool,
     groups: list[tuple[str, list[Entry]]] | None,
 ) -> tuple[list[Entry], Trace, bool]:
-    """Serve ``key_range`` restricted to the subtree ``cover`` from ``peer``.
+    """Expand the fan-out tree, then interpret it in the active model.
 
-    ``peer``'s own leaf lies inside ``cover``; for every complementary
-    subtree at levels >= len(cover) that intersects the range, the query is
-    forwarded to one reference, which then covers that subtree.  With
-    ``collect`` the results flow back along the fan-out tree (one send per
-    edge, sized by the subtree's result); otherwise they stay at the serving
-    peers and are appended to ``groups``.
+    With ``collect`` the results flow back along the fan-out tree (one send
+    per edge, sized by the subtree's result); otherwise they stay at the
+    serving peers and are appended to ``groups``.
     """
-    local = peer.store.scan(key_range)
-    if groups is not None and local:
-        groups.append((peer.node_id, local))
-    complete = True
-    branches: list[Trace] = []
-
-    for level in range(len(cover), len(peer.path)):
-        subtree = peer.required_prefix(level)
-        if not key_range.intersects_path(subtree):
-            continue
-        refs = peer.valid_refs(level)
-        if not refs:
-            complete = False
-            continue
-        ref_id = rng.choice(refs)
-        hop = pnet.net.send(peer.node_id, ref_id, kind, size=1)
-        child = pnet.net.nodes[ref_id]
-        sub_entries, sub_trace, sub_complete = _shower_visit(
-            pnet,
-            child,
-            key_range,
-            cover=subtree,
-            rng=rng,
-            kind=kind,
-            collect=collect,
-            groups=groups,
-        )
-        branch = hop.then(sub_trace)
-        if collect:
-            # Results return along the tree edge; size reflects the payload.
-            back = pnet.net.send(ref_id, peer.node_id, kind, size=max(1, len(sub_entries)))
-            branch = branch.then(back)
-            local.extend(sub_entries)
-        branches.append(branch)
-        complete = complete and sub_complete
-
-    trace = Trace.parallel(branches) if branches else Trace.ZERO
-    return local, trace, complete
-
-
-# -- event-driven shower ------------------------------------------------------
+    start = start or pnet.random_online_peer()
+    tree = _expand_shower(pnet, start, key_range, cover="", rng=rng or pnet.rng)
+    if pnet.scheduler is None:
+        entries, trace = _trace_shower(pnet.net, tree, kind, collect, groups)
+    else:
+        entries, trace = _event_shower(pnet.scheduler, tree, kind, collect, groups)
+    return entries, trace, tree.complete
 
 
 @dataclass
@@ -171,10 +122,11 @@ def _expand_shower(
 ) -> _ShowerNode:
     """Choose the fan-out tree without sending anything.
 
-    Reference choices are drawn in the exact order the synchronous
-    depth-first :func:`_shower_visit` draws them, so for a given seed both
-    execution models traverse the identical tree (and therefore send the
-    identical messages); only *when* each edge fires differs.
+    ``peer``'s own leaf lies inside ``cover``; for every complementary
+    subtree at levels >= len(cover) that intersects the range, one
+    reference is drawn to cover that subtree.  Both execution models
+    interpret the same tree (and therefore send the identical messages);
+    only *when* each edge fires differs.
     """
     node = _ShowerNode(peer=peer, cover=cover, local=peer.store.scan(key_range))
     for level in range(len(cover), len(peer.path)):
@@ -194,55 +146,62 @@ def _expand_shower(
     return node
 
 
-def _shower_cost(node: _ShowerNode, collect: bool) -> tuple[int, int]:
-    """(total messages, critical-path hops) of a fan-out tree."""
-    per_edge = 2 if collect else 1  # forward edge, plus the funnel-back edge
-    messages = 0
-    critical = 0
-    for child in node.children:
-        child_messages, child_critical = _shower_cost(child, collect)
-        messages += per_edge + child_messages
-        critical = max(critical, per_edge + child_critical)
-    return messages, critical
-
-
-def _shower_event(
-    pnet: PGridNetwork,
-    scheduler: EventScheduler,
-    start: PGridPeer,
-    key_range: KeyRange,
-    rng: random.Random,
+def _trace_shower(
+    net: Network,
+    node: _ShowerNode,
     kind: str,
     collect: bool,
     groups: list[tuple[str, list[Entry]]] | None,
-) -> tuple[list[Entry], Trace, bool]:
+) -> tuple[list[Entry], Trace]:
+    """Depth-first trace interpreter: each edge is sent when it is visited."""
+    if groups is not None and node.local:
+        groups.append((node.peer.node_id, node.local))
+    entries = list(node.local) if collect else []
+    branches: list[Trace] = []
+    for child in node.children:
+        hop = net.send(node.peer.node_id, child.peer.node_id, kind, size=1)
+        child_entries, child_trace = _trace_shower(net, child, kind, collect, groups)
+        branch = hop.then(child_trace)
+        if collect:
+            # Results return along the tree edge; size reflects the payload.
+            back = net.send(child.peer.node_id, node.peer.node_id, kind, max(1, len(child_entries)))
+            branch = branch.then(back)
+            entries.extend(child_entries)
+        branches.append(branch)
+    return entries, Trace.parallel(branches)
+
+
+def _event_shower(
+    scheduler: EventScheduler,
+    tree: _ShowerNode,
+    kind: str,
+    collect: bool,
+    groups: list[tuple[str, list[Entry]]] | None,
+) -> tuple[list[Entry], Trace]:
     """Run a shower fan-out as interleaved events on the simulated clock.
 
     Each tree edge departs at the instant its parent received the query, so
     sibling subtrees race; with ``collect`` the results funnel back along
     the tree and a node completes when its slowest child's reply lands.
-    The returned trace carries the *measured* latency and completion time.
+    The returned trace carries the *measured* latency and completion time,
+    with the messages and critical-path hops counted as they are sent.
     """
-    tree = _expand_shower(pnet, start, key_range, cover="", rng=rng)
     start_time = scheduler.now
-    messages, critical_hops = _shower_cost(tree, collect)
-    outcome: dict[str, object] = {"entries": [], "time": start_time}
+    outcome: dict = {"messages": 0}
 
-    def finished(entries: list[Entry], time: float) -> None:
-        outcome["entries"] = entries
-        outcome["time"] = time
+    def finished(entries: list[Entry], time: float, hops: int) -> None:
+        outcome.update(entries=entries, time=time, hops=hops)
 
-    _schedule_shower_node(scheduler, tree, start_time, kind, collect, groups, finished)
+    _schedule_shower_node(scheduler, tree, start_time, kind, collect, groups, outcome, finished)
     scheduler.run()
-    completion = float(outcome["time"])  # type: ignore[arg-type]
-    entries = outcome["entries"] if collect else []
+    completion = outcome["time"]
     trace = Trace(
-        messages=messages,
-        hops=critical_hops,
+        messages=outcome["messages"],
+        hops=outcome["hops"],
         latency=completion - start_time,
         completion_time=completion,
     )
-    return entries, trace, tree.complete  # type: ignore[return-value]
+    return outcome["entries"], trace
 
 
 def _schedule_shower_node(
@@ -252,44 +211,48 @@ def _schedule_shower_node(
     kind: str,
     collect: bool,
     groups: list[tuple[str, list[Entry]]] | None,
+    outcome: dict,
     on_done,
 ) -> None:
-    """Serve ``node`` at instant ``at``; call ``on_done(entries, time)``.
+    """Serve ``node`` at instant ``at``; call ``on_done(entries, time, hops)``.
 
     Runs inside the event loop: forward edges to all children depart at
     ``at`` concurrently, every child recursively schedules its own subtree
     on arrival, and (with ``collect``) the node completes when the last
-    funnel-back reply has been delivered.
+    funnel-back reply has been delivered.  ``hops`` is the subtree's
+    critical path; every message sent is counted in ``outcome``.
     """
     if groups is not None and node.local:
         groups.append((node.peer.node_id, node.local))
     entries = list(node.local) if collect else []
     if not node.children:
-        on_done(entries, at)
+        on_done(entries, at, 0)
         return
-    pending = {"count": len(node.children), "finish": at}
+    pending = {"count": len(node.children), "finish": at, "hops": 0}
 
-    def merged(child_entries: list[Entry], time: float) -> None:
+    def merged(child_entries: list[Entry], time: float, hops: int) -> None:
         if collect:
             entries.extend(child_entries)
         pending["count"] -= 1
         pending["finish"] = max(pending["finish"], time)
+        pending["hops"] = max(pending["hops"], hops)
         if pending["count"] == 0:
-            on_done(entries, pending["finish"])
+            on_done(entries, pending["finish"], pending["hops"])
 
-    def child_done(child: _ShowerNode, child_entries: list[Entry], time: float) -> None:
+    def child_done(child: _ShowerNode, child_entries: list[Entry], time: float, hops: int) -> None:
         if collect:
             # Results return along the tree edge; size reflects the payload.
+            outcome["messages"] += 1
             scheduler.send_at(
                 time,
                 child.peer.node_id,
                 node.peer.node_id,
                 kind,
                 max(1, len(child_entries)),
-                on_delivered=lambda arrival: merged(child_entries, arrival),
+                on_delivered=lambda arrival: merged(child_entries, arrival, hops + 2),
             )
         else:
-            merged(child_entries, time)
+            merged(child_entries, time, hops + 1)
 
     for child in node.children:
 
@@ -301,11 +264,13 @@ def _schedule_shower_node(
                 kind,
                 collect,
                 groups,
-                lambda child_entries, done_time, child=child: child_done(
-                    child, child_entries, done_time
+                outcome,
+                lambda child_entries, done_time, hops, child=child: child_done(
+                    child, child_entries, done_time, hops
                 ),
             )
 
+        outcome["messages"] += 1
         scheduler.send_at(at, node.peer.node_id, child.peer.node_id, kind, 1, on_delivered=arrived)
 
 
@@ -355,9 +320,7 @@ def _sequential_walk(
     complete = True
 
     try:
-        current, trace = route(
-            start, _left_edge(key_range.lo), kind=kind, rng=rng, scheduler=pnet.scheduler
-        )
+        current, trace = route(start, _left_edge(key_range.lo), kind=kind, rng=rng, runner=pnet)
     except RoutingError as error:
         return [], getattr(error, "trace", Trace.ZERO), False
 
@@ -371,7 +334,7 @@ def _sequential_walk(
             break
         try:
             current, hop_trace = route(
-                current, _left_edge(next_key), kind=kind, rng=rng, scheduler=pnet.scheduler
+                current, _left_edge(next_key), kind=kind, rng=rng, runner=pnet
             )
         except RoutingError as error:
             trace = trace.then(getattr(error, "trace", Trace.ZERO))

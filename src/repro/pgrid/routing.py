@@ -45,25 +45,26 @@ operations in :mod:`repro.pgrid.network`:
 * **deferred accounting** — :func:`route_hops` discovers the hop sequence
   without sending anything, so bulk operations can group keys by destination
   first and then charge each route *once per region* with the region's real
-  batch size (:func:`replay_hops`), or schedule it as a callback chain on an
-  event-driven scheduler so chains to different regions interleave in
-  simulated time (:func:`schedule_hops`).
+  batch size.  Every routed operation hands its routes to one interpreter as
+  :data:`~repro.net.scheduler.ChainSpec` chains (hops, then the follow-up
+  sends an arrival action returns): :meth:`Network.run_chains
+  <repro.net.network.Network.run_chains>` composes the traces analytically,
+  :meth:`EventScheduler.run_chains
+  <repro.net.scheduler.EventScheduler.run_chains>` runs them as interleaved
+  callback chains on the simulated clock.  Each interpreter draws latency
+  jitter in its own order (depth first, or firing order).
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 from repro.errors import RoutingError
+from repro.net.scheduler import ChainRunner, then_send
 from repro.net.trace import Trace
 from repro.pgrid.keys import common_prefix_length, responsible
 from repro.pgrid.peer import PGridPeer
-
-if TYPE_CHECKING:
-    from repro.net.network import Network
-    from repro.net.scheduler import Completion, EventScheduler
 
 #: Hard bound on route length; ordinary routes are O(log N) so hitting this
 #: indicates a broken overlay rather than a long route.
@@ -206,9 +207,9 @@ def route_hops(
     """Discover the route from ``start`` towards ``key`` without sending.
 
     Returns ``(destination, hops)`` where hops are ``(src_id, dst_id)``
-    pairs; callers account them with :func:`replay_hops` at whatever message
-    size the operation carries.  On failure raises :class:`RoutingError`
-    with the partial hop list attached as ``.hops``.
+    pairs; callers charge them through a ``run_chains`` interpreter at
+    whatever message size the operation carries.  On failure raises
+    :class:`RoutingError` with the partial hop list attached as ``.hops``.
     """
     rng = rng or start.network.rng
     if use_cache:
@@ -286,32 +287,6 @@ def _warm_transit(start: PGridPeer, hops: list[tuple[str, str]], destination: PG
             peer.route_cache.put(destination.path, destination.node_id)
 
 
-def replay_hops(network: "Network", hops: list[tuple[str, str]], kind: str, size: int) -> Trace:
-    """Account a discovered hop sequence as sent messages of ``size``."""
-    trace = Trace.ZERO
-    for src, dst in hops:
-        trace = trace.then(network.send(src, dst, kind, size))
-    return trace
-
-
-def schedule_hops(
-    scheduler: "EventScheduler",
-    hops: list[tuple[str, str]],
-    kind: str,
-    size: int,
-    at: float | None = None,
-    on_done: "Completion | None" = None,
-) -> None:
-    """Schedule a discovered hop sequence as an event-driven callback chain.
-
-    The event-driven counterpart of :func:`replay_hops`: same messages, same
-    sizes, but hop *i + 1* departs when hop *i* is delivered on the
-    simulated clock, so chains to different regions interleave.  ``on_done``
-    fires with the arrival instant at the destination.
-    """
-    scheduler.chain(hops, kind, size, at=at, on_done=on_done)
-
-
 def route(
     start: PGridPeer,
     key: str,
@@ -319,7 +294,7 @@ def route(
     size: int = 1,
     rng: random.Random | None = None,
     use_cache: bool = True,
-    scheduler: "EventScheduler | None" = None,
+    runner: ChainRunner | None = None,
 ) -> tuple[PGridPeer, Trace]:
     """Route a message from ``start`` towards ``key``.
 
@@ -328,37 +303,16 @@ def route(
     when the route dead-ends, e.g. because every peer covering the key's
     region is offline.
 
-    With a ``scheduler`` the discovered chain runs in simulated time instead
-    of being replayed analytically: the clock advances to the destination's
-    arrival instant and the returned trace carries it as
+    ``runner`` interprets the route (default: the network itself, i.e. the
+    causal-trace model); a :class:`~repro.pgrid.network.PGridNetwork` picks
+    its active execution model.  In event-driven mode the clock advances to
+    the destination's arrival instant and the returned trace carries it as
     ``completion_time``.  Message accounting is identical either way.
     """
+    runner = start.network if runner is None else runner
     try:
         destination, hops = route_hops(start, key, rng=rng, use_cache=use_cache)
     except RoutingError as error:
-        error.trace = account_hops(start.network, getattr(error, "hops", []), kind, size, scheduler)
+        error.trace = runner.run_chains([(error.hops, kind, size, then_send())])
         raise
-    return destination, account_hops(start.network, hops, kind, size, scheduler)
-
-
-def account_hops(
-    network: "Network",
-    hops: list[tuple[str, str]],
-    kind: str,
-    size: int,
-    scheduler: "EventScheduler | None",
-) -> Trace:
-    """Charge a hop sequence in the active execution model."""
-    if scheduler is None:
-        return replay_hops(network, hops, kind, size)
-    start_time = scheduler.now
-    arrivals: list[float] = []
-    schedule_hops(scheduler, hops, kind, size, at=start_time, on_done=arrivals.append)
-    scheduler.run()
-    finish = arrivals[0] if arrivals else start_time
-    return Trace(
-        messages=len(hops),
-        hops=len(hops),
-        latency=finish - start_time,
-        completion_time=finish,
-    )
+    return destination, runner.run_chains([(hops, kind, size, then_send())])

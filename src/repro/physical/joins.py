@@ -29,10 +29,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.errors import PlanningError, RoutingError
+from repro.net.scheduler import ChainSpec, PartialChain, then_send
 from repro.net.trace import Trace
 from repro.algebra.semantics import Binding, compatible, join_key, merge_bindings
 from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, probe_join
-from repro.pgrid.routing import point_key, replay_hops, route_hops
+from repro.pgrid.routing import point_key, route_hops
 from repro.triples.index import probe_variable, v_key
 from repro.vql.ast import Expression, TriplePattern
 
@@ -152,10 +153,11 @@ class RehashJoin(_JoinBase):
         )
         complete = left_result.complete and right_result.complete
         # First pass: discover every bucket's route (no messages yet), so the
-        # shipping wave can then be charged in whichever execution model is
-        # active — analytic replay, or interleaved events at a common start.
-        plans: list[tuple[list[tuple[str, str]], tuple[str, str, int] | None]] = []
-        failed_routes: list[list[tuple[str, str]]] = []
+        # shipping wave can then be charged as one wave in whichever execution
+        # model is active.  Partial hops of failed routes are accounted (they
+        # were sent) but the wave does not wait for them.
+        chains: list[ChainSpec] = []
+        failed_routes: list[PartialChain] = []
         for result, is_left in ((left_result, True), (right_result, False)):
             for peer_id, rows in result.groups:
                 by_value: dict[tuple, list[Binding]] = defaultdict(list)
@@ -173,7 +175,7 @@ class RehashJoin(_JoinBase):
                         dest, hops = route_hops(producer, rendezvous_key, rng=ctx.rng)
                     except RoutingError as error:
                         complete = False
-                        failed_routes.append(getattr(error, "hops", []))
+                        failed_routes.append((error.hops, "join-rehash", 1))
                         continue
                     # Routing may land on any replica of the responsible
                     # group; both sides must meet at the SAME peer, so
@@ -182,16 +184,16 @@ class RehashJoin(_JoinBase):
                     candidates = [dest.node_id, *dest.online_replicas()]
                     rendezvous_id = min(candidates)
                     if rendezvous_id != dest.node_id:
-                        payload = (dest.node_id, rendezvous_id, len(bucket))
+                        sends = [(dest.node_id, rendezvous_id, "join-rehash", len(bucket))]
                     elif dest is not producer:
-                        payload = (producer.node_id, dest.node_id, len(bucket))
+                        sends = [(producer.node_id, dest.node_id, "join-rehash", len(bucket))]
                     else:
-                        payload = None
-                    plans.append((hops, payload))
+                        sends = []
+                    chains.append((hops, "join-rehash", 1, then_send(sends)))
                     for row in bucket:
                         arrivals[rendezvous_id][str(value_key)].append((row, is_left))
 
-        arrival_trace = self._ship_buckets(ctx, plans, failed_routes)
+        arrival_trace = ctx.pnet.run_chains(chains, untracked=failed_routes)
         base = Trace.parallel([left_result.trace, right_result.trace]).then(arrival_trace)
 
         joined_all: list[Binding] = []
@@ -213,50 +215,6 @@ class RehashJoin(_JoinBase):
             trace=trace,
             complete=complete,
         )
-
-    @staticmethod
-    def _ship_buckets(
-        ctx: ExecutionContext,
-        plans: list[tuple[list[tuple[str, str]], tuple[str, str, int] | None]],
-        failed_routes: list[list[tuple[str, str]]],
-    ) -> Trace:
-        """Charge the per-bucket rendezvous shipping wave.
-
-        Causal-trace mode replays every bucket's hops analytically and takes
-        the slowest branch; event-driven mode starts all chains at the same
-        instant so producers race on the simulated clock, and the wave
-        completes at the measured max.  Partial hops of failed routes are
-        accounted (they were sent) but never complete, matching the
-        best-effort semantics of the synchronous path.
-        """
-        pnet = ctx.pnet
-        scheduler = pnet.scheduler
-        if scheduler is None:
-            branches = []
-            for hops, payload in plans:
-                trace = replay_hops(pnet.net, hops, "join-rehash", 1)
-                if payload is not None:
-                    src, dst, size = payload
-                    trace = trace.then(pnet.net.send(src, dst, "join-rehash", size))
-                branches.append(trace)
-            for hops in failed_routes:
-                replay_hops(pnet.net, hops, "join-rehash", 1)
-            return Trace.parallel(branches) if branches else Trace.ZERO
-
-        chains = []
-        for hops, payload in plans:
-
-            def arrived(
-                _time: float, payload: tuple[str, str, int] | None = payload
-            ) -> list[tuple[str, str, str, int]]:
-                if payload is None:
-                    return []
-                src, dst, size = payload
-                return [(src, dst, "join-rehash", size)]
-
-            chains.append((hops, "join-rehash", 1, arrived))
-        untracked = [(hops, "join-rehash", 1) for hops in failed_routes]
-        return scheduler.run_chains(chains, untracked=untracked)
 
 
 def _rendezvous_value(value_key: tuple) -> str:

@@ -14,7 +14,7 @@ import pytest
 
 from repro import UniStore
 from repro.bench import ConferenceWorkload
-from repro.errors import NodeUnreachableError
+from repro.errors import NodeUnreachableError, RoutingError
 from repro.net import ConstantLatency, EventScheduler, Network, PlanetLabLatency, ZeroLatency
 from repro.net.trace import Trace
 from repro.pgrid import build_network, bulk_load, encode_string
@@ -96,6 +96,48 @@ class TestKnownLatencyFanout:
         scheduler = EventScheduler(pnet.net)
         with pytest.raises(NodeUnreachableError):
             scheduler.send_at(0.0, "a", "c", "test")
+
+
+class TestFailedBulkRoutes:
+    """A bulk route that dead-ends is charged in the active model, like a
+    single-key route: its partial hops run on the simulated clock."""
+
+    def _dead_end_overlay(self):
+        # a("0") -> d("10") -> e("11"), and e is down: routes to "11..." stop at d.
+        pnet = PGridNetwork(Network(latency_model=ConstantLatency(0.1), seed=0))
+        a = pnet.add_peer("a", "0")
+        d = pnet.add_peer("d", "10")
+        e = pnet.add_peer("e", "11")
+        a.routing.add(0, "d")
+        d.routing.add(0, "a")
+        d.routing.add(1, "e")
+        e.routing.add(0, "a")
+        e.routing.add(1, "d")
+        e.fail()
+        return pnet, a
+
+    @pytest.mark.parametrize(
+        "operation, kind",
+        [
+            (lambda pnet, a: pnet.lookup_many(["111"], start=a), "lookup"),
+            (lambda pnet, a: pnet.insert_many([("111", "x", 1)], start=a), "insert"),
+            (lambda pnet, a: pnet.lookup_at("111", start=a), "lookup"),
+            (lambda pnet, a: pnet.insert("111", 1, item_id="x", start=a), "insert"),
+        ],
+        ids=["lookup_many", "insert_many", "lookup_at", "insert"],
+    )
+    def test_partial_hops_are_scheduled(self, operation, kind):
+        pnet, a = self._dead_end_overlay()
+        with pnet.event_driven() as sched:
+            with pytest.raises(RoutingError) as raised:
+                operation(pnet, a)
+        assert [(d.src, d.dst, d.kind, d.time) for d in sched.log] == [
+            ("a", "d", kind, pytest.approx(0.1))
+        ]
+        trace = raised.value.trace
+        assert (trace.messages, trace.hops) == (1, 1)
+        assert trace.latency == pytest.approx(0.1)
+        assert trace.completion_time == pytest.approx(0.1)
 
 
 class TestDeterministicReplay:
