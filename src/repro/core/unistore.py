@@ -224,7 +224,7 @@ class UniStore:
 
         Two load-control knobs ride on the model
         (:mod:`repro.load.shedding`): ``LoadModel(..., admission=policy)``
-        lets saturated peers reject or defer work past a queue budget, and
+        lets saturated peers reject work past a queue-depth cap, and
         ``hints=True`` attaches a queue-depth hint registry so every message
         piggybacks its sender's smoothed depth — the information the
         ``least-busy`` diffusion policy and reject retries act on.

@@ -10,12 +10,12 @@ Layers a per-peer workload model over the event kernel of
   drivers that keep many operations in flight on one shared clock;
 * :mod:`repro.load.diffusion` — replica-based query-load diffusion, the
   first load-aware behaviour (benchmark E12 measures its knee shift);
-* :mod:`repro.load.shedding` — admission control (reject/defer past a
-  queue budget) and piggybacked queue-depth hints, the load-control loop
-  benchmark E12d measures under overload.
+* :mod:`repro.load.shedding` — admission control (reject past a queue-depth
+  cap) and piggybacked queue-depth hints, the load-control loop benchmark
+  E12d measures under overload.
 """
 
-from repro.load.diffusion import POLICIES, choose_replica, diffuse_route, pick_member, replica_set
+from repro.load.diffusion import POLICIES, choose_replica, diffuse_route, pick_member
 from repro.load.drivers import (
     MAX_REJECT_RETRIES,
     MAX_REROUTES,
@@ -27,11 +27,8 @@ from repro.load.drivers import (
     summarize,
 )
 from repro.load.shedding import (
-    AdmissionPolicy,
-    DeadlineAdmission,
     HintRegistry,
     HintTable,
-    ProbabilisticAdmission,
     ThresholdAdmission,
     pick_least_hinted,
 )
@@ -63,11 +60,7 @@ __all__ = [
     "choose_replica",
     "diffuse_route",
     "pick_member",
-    "replica_set",
-    "AdmissionPolicy",
     "ThresholdAdmission",
-    "ProbabilisticAdmission",
-    "DeadlineAdmission",
     "HintTable",
     "HintRegistry",
     "pick_least_hinted",

@@ -40,13 +40,6 @@ if TYPE_CHECKING:
 POLICIES = ("none", "random", "least-busy", "least-busy-oracle")
 
 
-def replica_set(destination: "PGridPeer") -> list["PGridPeer"]:
-    """The destination plus its online replicas, sorted for determinism."""
-    from repro.pgrid.replication import online_group  # deferred: pgrid imports load
-
-    return online_group(destination)
-
-
 def choose_replica(
     destination: "PGridPeer",
     policy: str = "none",
@@ -66,7 +59,9 @@ def choose_replica(
         raise ValueError(f"unknown diffusion policy {policy!r} (use one of {POLICIES})")
     if policy == "none":
         return destination
-    members = replica_set(destination)
+    from repro.pgrid.replication import online_group  # deferred: pgrid imports load
+
+    members = online_group(destination)
     if len(members) == 1:
         return destination
     return pick_member(

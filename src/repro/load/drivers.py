@@ -4,8 +4,9 @@ The data operations on :class:`~repro.pgrid.network.PGridNetwork` drain the
 event heap before returning, so back-to-back calls compose *sequentially* in
 simulated time.  To study load they must overlap: a driver schedules every
 operation's launch as a simulator event and only drains once, so hundreds of
-routed lookups/inserts are in flight together, contending for the same peer
-queues.
+routed lookups are in flight together, contending for the same peer queues.
+Every driven operation is a point lookup: it routes to the key's group,
+reads there and replies to its initiator.
 
 Two arrival processes:
 
@@ -38,7 +39,6 @@ from repro.bench.workloads import poisson_arrivals, zipf_cumulative, zipf_rank
 from repro.errors import RoutingError
 from repro.load.diffusion import diffuse_route, pick_member
 from repro.net.churn import ChurnEvent, ChurnModel
-from repro.pgrid.datastore import Entry
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 from repro.pgrid.routing import point_key, route_hops
@@ -50,13 +50,16 @@ MAX_REROUTES = 8
 #: other replica-group members (then fails *reported*, never silently).
 MAX_REJECT_RETRIES = 5
 
+#: Message kinds of a driven lookup's routed hops and of its reply.
+LOOKUP_KIND = "lookup"
+RESULT_KIND = "result"
+
 
 @dataclass
 class OpRecord:
     """One driven operation, from issue to completion (or failure)."""
 
     index: int
-    kind: str  # "lookup" | "insert"
     key: str
     issued: float
     completed: float | None = None
@@ -117,8 +120,6 @@ class _OpEngine:
         pnet: PGridNetwork,
         rng: random.Random,
         diffusion: str = "none",
-        op_kind: str = "lookup",
-        reply_kind: str = "result",
     ):
         if pnet.scheduler is None:
             raise ValueError("drivers need event-driven execution: use pnet.event_driven()")
@@ -126,8 +127,6 @@ class _OpEngine:
         self.scheduler = pnet.scheduler
         self.rng = rng
         self.diffusion = diffusion
-        self.op_kind = op_kind
-        self.reply_kind = reply_kind
         self.records: list[OpRecord] = []
 
     # -- lifecycle -----------------------------------------------------------
@@ -163,17 +162,16 @@ class _OpEngine:
             self._account_partial(getattr(error, "hops", []), time)
             self._finish(record, time, ok=False, error=str(error), on_done=on_done)
             return
-        if record.kind == "lookup":
-            destination, hops = diffuse_route(
-                destination,
-                hops,
-                policy=self.diffusion,
-                rng=self.rng,
-                load=self.scheduler.load,
-                now=time,
-                hints=self.pnet.net.hints,
-                observer=origin.node_id,
-            )
+        destination, hops = diffuse_route(
+            destination,
+            hops,
+            policy=self.diffusion,
+            rng=self.rng,
+            load=self.scheduler.load,
+            now=time,
+            hints=self.pnet.net.hints,
+            observer=origin.node_id,
+        )
         self._walk(record, destination, hops, 0, origin, time, on_done)
 
     def _account_partial(self, hops: list[tuple[str, str]], time: float) -> None:
@@ -192,7 +190,7 @@ class _OpEngine:
             if dst is None or not dst.online:
                 return
             self.scheduler.send_at(
-                at, src_id, dst_id, self.op_kind, 1, on_delivered=lambda t: step(index + 1, t)
+                at, src_id, dst_id, LOOKUP_KIND, 1, on_delivered=lambda t: step(index + 1, t)
             )
 
         step(0, time)
@@ -229,7 +227,7 @@ class _OpEngine:
             self._rejected(record, src_id, dst_id, destination, hops, index, origin, at, on_done)
 
         self.scheduler.send_at(
-            time, src_id, dst_id, self.op_kind, 1, on_delivered=delivered, on_rejected=rejected
+            time, src_id, dst_id, LOOKUP_KIND, 1, on_delivered=delivered, on_rejected=rejected
         )
 
     def _rejected(
@@ -266,7 +264,7 @@ class _OpEngine:
             self._reroute(record, src_id, origin, time, on_done)
             return
         final_hop = index == len(hops) - 1 and dst_id == destination.node_id
-        if final_hop and record.kind == "lookup":
+        if final_hop:
             alternative = self._alternative_member(record, destination, src_id)
             if alternative is not None:
                 self._walk(
@@ -283,7 +281,7 @@ class _OpEngine:
                 record, time, ok=False, error="rejected: no replica admitted", on_done=on_done
             )
             return
-        # Transit-hop reject (or a shed write): route again from the sender.
+        # Transit-hop reject: route again from the sender.
         self._route_leg(record, src, origin, time, on_done)
 
     def _alternative_member(
@@ -339,9 +337,6 @@ class _OpEngine:
     def _arrive(
         self, record: OpRecord, destination: PGridPeer, origin: PGridPeer, time: float, on_done
     ) -> None:
-        if record.kind == "insert":
-            self._apply_insert(record, destination, time, on_done)
-            return
         entries = destination.store.get(record.key)
         record.entries = len(entries)
         if destination is origin:
@@ -358,39 +353,10 @@ class _OpEngine:
             time,
             destination.node_id,
             origin.node_id,
-            self.reply_kind,
+            RESULT_KIND,
             max(1, len(entries)),
             on_delivered=replied,
         )
-
-    def _apply_insert(self, record: OpRecord, destination: PGridPeer, time, on_done) -> None:
-        entry = Entry(
-            key=record.key,
-            item_id=f"drv-{record.index}",
-            value=f"v{record.index}",
-            version=self.pnet.next_version(),
-        )
-        destination.store.put(entry)
-        replica_ids = destination.online_replicas()
-        pending = len(replica_ids)
-        if not pending:
-            self._finish(record, time, ok=True, error=None, on_done=on_done)
-            return
-        latest = [time]
-
-        def pushed(at: float) -> None:
-            nonlocal pending
-            pending -= 1
-            latest[0] = max(latest[0], at)
-            if pending == 0:
-                self._finish(record, latest[0], ok=True, error=None, on_done=on_done)
-
-        for replica_id in replica_ids:
-            replica = self.pnet.net.nodes[replica_id]
-            replica.store.put(entry)
-            self.scheduler.send_at(
-                time, destination.node_id, replica_id, self.op_kind, 1, on_delivered=pushed
-            )
 
 
 class _DriverBase:
@@ -401,19 +367,15 @@ class _DriverBase:
         pnet: PGridNetwork,
         keys: list[str],
         key_skew: float = 0.0,
-        insert_fraction: float = 0.0,
         gateways: list[PGridPeer] | None = None,
         diffusion: str = "none",
         seed: int = 0,
     ):
         if not keys:
             raise ValueError("need at least one key to drive")
-        if not 0.0 <= insert_fraction <= 1.0:
-            raise ValueError("insert_fraction must be in [0, 1]")
         self.pnet = pnet
         self.keys = list(keys)
         self.key_skew = key_skew
-        self.insert_fraction = insert_fraction
         self.gateways = list(gateways) if gateways else None
         self.diffusion = diffusion
         self.rng = random.Random(seed)
@@ -421,11 +383,6 @@ class _DriverBase:
 
     def _pick_key(self) -> str:
         return self.keys[zipf_rank(self._key_cumulative, self.rng.random())]
-
-    def _pick_kind(self) -> str:
-        if self.insert_fraction and self.rng.random() < self.insert_fraction:
-            return "insert"
-        return "lookup"
 
     def _pick_gateway(self) -> PGridPeer:
         if self.gateways:
@@ -479,7 +436,7 @@ class OpenLoopDriver(_DriverBase):
         start_time = scheduler.now
         for index, offset in enumerate(poisson_arrivals(self.rng, self.rate, self.horizon)):
             t = start_time + offset
-            record = OpRecord(index=index, kind=self._pick_kind(), key=self._pick_key(), issued=t)
+            record = OpRecord(index=index, key=self._pick_key(), issued=t)
 
             def fire(record: OpRecord = record) -> None:
                 engine.launch(record, self._pick_gateway())
@@ -522,12 +479,7 @@ class ClosedLoopDriver(_DriverBase):
         counter = [0]
 
         def issue(remaining: int) -> None:
-            record = OpRecord(
-                index=counter[0],
-                kind=self._pick_kind(),
-                key=self._pick_key(),
-                issued=scheduler.now,
-            )
+            record = OpRecord(index=counter[0], key=self._pick_key(), issued=scheduler.now)
             counter[0] += 1
 
             def done(_record: OpRecord) -> None:

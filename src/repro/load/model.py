@@ -6,10 +6,9 @@ instant it arrived, so load never fed back into latency.  This module models
 the missing half.  Every node gets
 
 * a **service-time model** — a :class:`ServiceProfile` mapping message kinds
-  to processing cost (seconds per message plus an optional per-item cost for
-  sized batch messages), scaled by a per-peer **speed factor** (heterogeneous
-  hardware, drawn from a configurable distribution by
-  :func:`draw_speed_factors`); and
+  to processing cost (seconds per message), scaled by a per-peer **speed
+  factor** (heterogeneous hardware, drawn from a configurable distribution
+  by :func:`draw_speed_factors`); and
 * a **FIFO work queue** — a :class:`NodeQueue` whose single server processes
   admitted messages in arrival order.  A message arriving at ``t`` starts
   service at ``max(t, busy_until)`` and finishes ``service`` seconds later,
@@ -24,12 +23,12 @@ instant; with a zero profile every finish equals its arrival and the event
 sequence is byte-identical to running without a load model (asserted by
 tests and benchmark E12).
 
-Saturated peers need not accept every job: pass ``admission=`` an
-:class:`~repro.load.shedding.AdmissionPolicy` (or a per-peer dict of them)
-and :meth:`NodeQueue.offer` consults it before admitting, returning a
-``reject`` or ``defer`` verdict once the peer is past its queue-depth or
-sojourn budget.  With ``admission=None`` (the default) every offer accepts
-and the behaviour is exactly the PR 4 model.
+Saturated peers need not accept every job: pass ``admission=`` a
+:class:`~repro.load.shedding.ThresholdAdmission` (or a per-peer dict of
+them) and :meth:`NodeQueue.offer` consults it before admitting, returning
+``reject`` once the peer's queue is at its depth cap (``defer`` for a
+parked job offered again).  With ``admission=None`` (the default) every
+offer accepts and the behaviour is exactly the PR 4 model.
 
 Everything is deterministic: queues are plain arithmetic over the arrival
 order the simulator already fixes, and speed factors come from a seeded RNG.
@@ -41,7 +40,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.load.shedding import ACCEPT, DEFER, AdmissionPolicy
+from repro.load.shedding import ACCEPT, DEFER, REJECT, ThresholdAdmission
 
 
 @dataclass(frozen=True)
@@ -74,35 +73,19 @@ class ServiceSample:
 class ServiceProfile:
     """Processing cost per message kind, in seconds on a speed-1.0 peer.
 
-    ``cost(kind, size) = base[kind] + per_item * size`` — the per-item term
-    models batch messages (a region's sub-batch costs proportionally more to
-    apply than a single probe).  Kinds without an explicit base fall back to
-    ``default``.
+    Kinds without an entry cost nothing.
     """
 
-    def __init__(
-        self,
-        costs: dict[str, float] | None = None,
-        default: float = 0.0,
-        per_item: float = 0.0,
-    ):
+    def __init__(self, costs: dict[str, float] | None = None):
         costs = dict(costs or {})
         for kind, cost in costs.items():
             if cost < 0:
                 raise ValueError(f"service cost for {kind!r} must be >= 0, got {cost}")
-        if default < 0 or per_item < 0:
-            raise ValueError("default and per_item costs must be >= 0")
         self.costs = costs
-        self.default = default
-        self.per_item = per_item
 
-    def cost(self, kind: str, size: int = 1) -> float:
-        """Seconds of work one message of ``kind`` and ``size`` demands."""
-        return self.costs.get(kind, self.default) + self.per_item * max(0, size)
-
-    def is_zero(self) -> bool:
-        """True when every message costs nothing (the PR 3 behaviour)."""
-        return self.default == 0.0 and self.per_item == 0.0 and not any(self.costs.values())
+    def cost(self, kind: str) -> float:
+        """Seconds of work one message of ``kind`` demands."""
+        return self.costs.get(kind, 0.0)
 
 
 #: The no-op profile: peers are infinitely fast servers again.
@@ -194,18 +177,18 @@ class NodeQueue:
         self,
         arrival: float,
         service: float,
-        policy: "AdmissionPolicy | None" = None,
+        policy: ThresholdAdmission | None = None,
         parked: bool = False,
     ) -> tuple[str, float, float, int]:
         """The admission gate in front of :meth:`admit`.
 
-        Consults ``policy`` with the queue state the arriving job would see
-        (depth and backlog); on ``accept`` the job is admitted exactly as by
-        :meth:`admit` and ``("accept", start, finish, depth)`` is returned.
-        On ``reject``/``defer`` *nothing is admitted* — the queue state is
-        untouched apart from the shed counters — and start/finish echo the
-        arrival instant.  With ``policy=None`` every offer accepts, so the
-        admission layer is invisible unless explicitly configured.
+        Consults ``policy`` with the depth the arriving job would see; on
+        ``accept`` the job is admitted exactly as by :meth:`admit` and
+        ``("accept", start, finish, depth)`` is returned.  On ``reject``/
+        ``defer`` *nothing is admitted* — the queue state is untouched apart
+        from the shed counters — and start/finish echo the arrival instant.
+        With ``policy=None`` every offer accepts, so the admission layer is
+        invisible unless explicitly configured.
 
         ``parked=True`` marks the re-offer of a job already parked at this
         peer: a parked job can only wait longer or get in, so any decline is
@@ -214,13 +197,12 @@ class NodeQueue:
         """
         if policy is not None:
             depth = self.depth_at(arrival)
-            verdict = policy.decide(depth, self.backlog(arrival), service)
-            if verdict != ACCEPT:
-                if parked or verdict == DEFER:
+            if policy.decide(depth) != ACCEPT:
+                if parked:
                     self.deferred += 1
                     return DEFER, arrival, arrival, depth
                 self.rejected += 1
-                return verdict, arrival, arrival, depth
+                return REJECT, arrival, arrival, depth
         start, finish, depth = self.admit(arrival, service)
         return ACCEPT, start, finish, depth
 
@@ -259,12 +241,11 @@ class LoadModel:
         self,
         profile: ServiceProfile | None = None,
         speeds: dict[str, float] | float = 1.0,
-        record_samples: bool = True,
-        admission: "AdmissionPolicy | dict[str, AdmissionPolicy] | None" = None,
+        admission: ThresholdAdmission | dict[str, ThresholdAdmission] | None = None,
     ):
         self.profile = profile or ZERO_PROFILE
         if isinstance(admission, dict):
-            self._admission_default: AdmissionPolicy | None = None
+            self._admission_default: ThresholdAdmission | None = None
             self._admission_by_node = dict(admission)
         else:
             self._admission_default = admission
@@ -280,16 +261,15 @@ class LoadModel:
                     raise ValueError(f"speed factor for {node_id!r} must be > 0")
             self._default_speed = 1.0
             self._speeds = dict(speeds)
-        self.record_samples = record_samples
         self.samples: list[ServiceSample] = []
         self._queues: dict[str, NodeQueue] = {}
 
     def speed(self, node_id: str) -> float:
         return self._speeds.get(node_id, self._default_speed)
 
-    def service_time(self, node_id: str, kind: str, size: int = 1) -> float:
+    def service_time(self, node_id: str, kind: str) -> float:
         """Seconds ``node_id`` needs to process one ``kind`` message."""
-        return self.profile.cost(kind, size) / self.speed(node_id)
+        return self.profile.cost(kind) / self.speed(node_id)
 
     def queue(self, node_id: str) -> NodeQueue:
         queue = self._queues.get(node_id)
@@ -308,7 +288,7 @@ class LoadModel:
         queue = self._queues.get(node_id)
         return queue.advertised_depth(now) if queue is not None else 0.0
 
-    def policy(self, node_id: str) -> "AdmissionPolicy | None":
+    def policy(self, node_id: str) -> ThresholdAdmission | None:
         """The admission policy governing ``node_id`` (None = accept all)."""
         return self._admission_by_node.get(node_id, self._admission_default)
 
@@ -321,11 +301,11 @@ class LoadModel:
         verdict mutates the queue and records a sample (see
         :meth:`NodeQueue.offer`, including the ``parked`` re-offer flag).
         """
-        service = self.service_time(node_id, kind, size)
+        service = self.service_time(node_id, kind)
         verdict, start, finish, depth = self.queue(node_id).offer(
             arrival, service, self.policy(node_id), parked=parked
         )
-        if verdict == "accept" and self.record_samples:
+        if verdict == ACCEPT:
             self.samples.append(ServiceSample(node_id, kind, size, arrival, start, finish))
         return verdict, start, finish, depth
 
@@ -333,10 +313,9 @@ class LoadModel:
         self, node_id: str, arrival: float, kind: str, size: int = 1
     ) -> tuple[float, float, int]:
         """Queue one delivered message; return ``(start, finish, depth)``."""
-        service = self.service_time(node_id, kind, size)
+        service = self.service_time(node_id, kind)
         start, finish, depth = self.queue(node_id).admit(arrival, service)
-        if self.record_samples:
-            self.samples.append(ServiceSample(node_id, kind, size, arrival, start, finish))
+        self.samples.append(ServiceSample(node_id, kind, size, arrival, start, finish))
         return start, finish, depth
 
     # -- metrics -------------------------------------------------------------

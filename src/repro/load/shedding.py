@@ -4,15 +4,18 @@ PR 4 made saturated peers *slow*; this module lets them *push back*.  Two
 cooperating mechanisms close the load-control loop the paper's
 load-balancing sections argue for:
 
-* **Admission control** — every peer may carry an :class:`AdmissionPolicy`
-  (:class:`ThresholdAdmission`, :class:`ProbabilisticAdmission`,
-  :class:`DeadlineAdmission`).  The policy is consulted on every admission
-  attempt (:meth:`~repro.load.model.NodeQueue.offer`, the gate in front of
-  :meth:`~repro.load.model.NodeQueue.admit`): a peer past its queue-depth or
-  sojourn budget answers ``reject`` (the scheduler NACKs the sender, which
-  may retry another replica — bounded) or ``defer`` (the job is re-offered
-  after a penalty; after ``max_defers`` it is force-admitted so no work is
-  ever silently dropped).  Rejects and deferrals are counted in
+* **Admission control** — every peer may carry a
+  :class:`ThresholdAdmission` cap on its queue depth.  The policy is
+  consulted on every admission attempt
+  (:meth:`~repro.load.model.NodeQueue.offer`, the gate in front of
+  :meth:`~repro.load.model.NodeQueue.admit`): a peer with ``max_depth``
+  jobs in the system answers ``reject``, and the scheduler NACKs the
+  sender, which may retry another replica (bounded).  A rejected job whose
+  sender gave no reject handler is *parked* instead: it is re-offered every
+  :data:`~repro.net.scheduler.PARK_PENALTY` seconds and force-admitted
+  after :data:`~repro.net.scheduler.MAX_PARK_ROUNDS` rounds, so no work is
+  ever silently dropped.
+  Rejects and park rounds (deferrals) are counted in
   :class:`~repro.net.stats.NetworkStats`.
 
 * **Piggybacked hints** — with a :class:`HintRegistry` attached to the
@@ -32,116 +35,34 @@ decays.  Both facts together give the staleness invariant the property
 tests pin down: a hint is always ``<=`` the true peak queue depth of its
 subject since the piggyback that produced it.
 
-Everything stays deterministic: probabilistic policies own a seeded RNG,
-hint decay is pure arithmetic over simulated instants, and with
-``admission=None`` and no registry attached every code path collapses to
-the PR 4 behaviour byte for byte (asserted by tests).
+Everything stays deterministic: hint decay is pure arithmetic over
+simulated instants, and with ``admission=None`` and no registry attached
+every code path collapses to the PR 4 behaviour byte for byte (asserted by
+tests).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.load.model import LoadModel
-    from repro.pgrid.peer import PGridPeer
 
 #: Admission verdicts.
 ACCEPT = "accept"
 REJECT = "reject"
 DEFER = "defer"
 
-#: Verdicts a policy may return from :meth:`AdmissionPolicy.decide`.
-VERDICTS = (ACCEPT, REJECT, DEFER)
 
+class ThresholdAdmission:
+    """Hard queue-depth cap: reject once ``max_depth`` jobs are in the system."""
 
-class AdmissionPolicy:
-    """Base class: when may a peer take on one more unit of work?
-
-    Subclasses implement :meth:`decide`; the shared knobs govern what
-    happens on a non-accept verdict:
-
-    * ``action`` — the verdict returned when the budget is exceeded
-      (``"reject"`` bounces the job back to the sender, ``"defer"`` parks
-      it locally and re-offers it after ``defer_penalty`` seconds);
-    * ``max_defers`` — a parked job is force-admitted once its park rounds
-      reach ``max(max_defers, 1)``, so admission control degrades a
-      saturated peer's latency instead of losing work (the floor of one
-      round exists because a job with nowhere to bounce must be parked at
-      least once before it can be forced in; the policy itself is always
-      consulted on first contact, even with ``max_defers=0``).
-    """
-
-    def __init__(self, action: str = REJECT, defer_penalty: float = 0.01, max_defers: int = 8):
-        if action not in (REJECT, DEFER):
-            raise ValueError(f"action must be 'reject' or 'defer', got {action!r}")
-        if defer_penalty <= 0:
-            raise ValueError("defer_penalty must be > 0")
-        if max_defers < 0:
-            raise ValueError("max_defers must be >= 0")
-        self.action = action
-        self.defer_penalty = defer_penalty
-        self.max_defers = max_defers
-
-    def decide(self, depth: int, backlog: float, service: float) -> str:
-        """Verdict for one job: ``depth`` jobs already queued, ``backlog``
-        seconds of admitted work ahead of it, ``service`` seconds it asks for."""
-        raise NotImplementedError
-
-    def _over_budget(self) -> str:
-        return self.action
-
-
-class ThresholdAdmission(AdmissionPolicy):
-    """Hard queue-depth cap: shed once ``max_depth`` jobs are in the system."""
-
-    def __init__(self, max_depth: int, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, max_depth: int):
         if max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         self.max_depth = max_depth
 
-    def decide(self, depth: int, backlog: float, service: float) -> str:
-        return self._over_budget() if depth >= self.max_depth else ACCEPT
-
-
-class ProbabilisticAdmission(AdmissionPolicy):
-    """Random early shedding: the drop probability ramps linearly from 0 at
-    ``start_depth`` to 1 at ``full_depth`` (RED-style, avoids the cliff of a
-    hard threshold).  Owns a seeded RNG so runs stay deterministic."""
-
-    def __init__(self, start_depth: int, full_depth: int, seed: int = 0, **kwargs):
-        super().__init__(**kwargs)
-        if not 0 <= start_depth < full_depth:
-            raise ValueError("need 0 <= start_depth < full_depth")
-        self.start_depth = start_depth
-        self.full_depth = full_depth
-        self.rng = random.Random(seed)
-
-    def decide(self, depth: int, backlog: float, service: float) -> str:
-        if depth < self.start_depth:
-            return ACCEPT
-        if depth >= self.full_depth:
-            return self._over_budget()
-        ramp = (depth - self.start_depth) / (self.full_depth - self.start_depth)
-        return self._over_budget() if self.rng.random() < ramp else ACCEPT
-
-
-class DeadlineAdmission(AdmissionPolicy):
-    """Sojourn budget: shed when the *predicted* time in system (current
-    backlog plus the job's own service time) exceeds ``max_sojourn`` —
-    admitting a job that cannot possibly answer in time helps nobody."""
-
-    def __init__(self, max_sojourn: float, **kwargs):
-        super().__init__(**kwargs)
-        if max_sojourn <= 0:
-            raise ValueError("max_sojourn must be > 0")
-        self.max_sojourn = max_sojourn
-
-    def decide(self, depth: int, backlog: float, service: float) -> str:
-        return self._over_budget() if backlog + service > self.max_sojourn else ACCEPT
+    def decide(self, depth: int) -> str:
+        """Verdict for one job arriving behind ``depth`` queued jobs."""
+        return REJECT if depth >= self.max_depth else ACCEPT
 
 
 class HintTable:

@@ -6,16 +6,10 @@ with exact intermediate cardinalities, and forwards the plan.
 """
 
 from repro.mqp.executor import MQPResult, execute_mutant_plan
-from repro.mqp.plan import (
-    MutantQueryPlan,
-    expression_from_dict,
-    expression_to_dict,
-)
+from repro.mqp.plan import MutantQueryPlan
 
 __all__ = [
     "MutantQueryPlan",
     "MQPResult",
     "execute_mutant_plan",
-    "expression_to_dict",
-    "expression_from_dict",
 ]

@@ -127,6 +127,7 @@ def _scan_and_migrate(
         model.stats,
         PlannerConfig(),
         qgram_available=ctx.store.enable_qgram_index,
+        qgram_q=ctx.store.qgram_q,
     )
     planned = planner.plan_scan(step.scan)
     result = planned.op.execute(sub_ctx)

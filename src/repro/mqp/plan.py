@@ -7,26 +7,17 @@ can locally, grafts the results into the plan, re-optimizes the remainder,
 and forwards it.  UniStore extends the concept with DHT-aware operator
 selection at every hop.
 
-This module defines the plan state object and its wire format (plain dicts —
-the paper's system used XML; the information content is identical), so that
-plans really are serializable messages, not Python object graphs.
+This module defines the plan state object.  A migration message is charged
+by the rows the plan carries (see :mod:`repro.mqp.executor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 from repro.algebra.operators import PatternScan
 from repro.algebra.semantics import Binding
-from repro.vql.ast import (
-    BoolOp,
-    Comparison,
-    Expression,
-    FunctionCall,
-    Literal,
-    Not,
-    TriplePattern,
-    Var,
-)
+from repro.vql.ast import Expression
 
 
 @dataclass
@@ -41,111 +32,3 @@ class MutantQueryPlan:
 
     def is_done(self) -> bool:
         return not self.pending
-
-    # -- wire format ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "pending": [
-                {
-                    "pattern": _term_triple_to_dict(scan.pattern),
-                    "filters": [expression_to_dict(f) for f in scan.filters],
-                }
-                for scan in self.pending
-            ],
-            "residual_filters": [expression_to_dict(f) for f in self.residual_filters],
-            "bindings": self.bindings,
-            "location": self.location,
-            "hops_travelled": self.hops_travelled,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MutantQueryPlan":
-        return cls(
-            pending=[
-                PatternScan(
-                    _term_triple_from_dict(item["pattern"]),
-                    tuple(expression_from_dict(f) for f in item["filters"]),
-                )
-                for item in data["pending"]
-            ],
-            residual_filters=[expression_from_dict(f) for f in data["residual_filters"]],
-            bindings=data["bindings"],
-            location=data["location"],
-            hops_travelled=data["hops_travelled"],
-        )
-
-
-# ---------------------------------------------------------------------------
-# Expression / pattern (de)serialization
-# ---------------------------------------------------------------------------
-
-
-def expression_to_dict(expr: Expression) -> dict:
-    if isinstance(expr, Var):
-        return {"kind": "var", "name": expr.name}
-    if isinstance(expr, Literal):
-        return {"kind": "lit", "value": expr.value}
-    if isinstance(expr, Comparison):
-        return {
-            "kind": "cmp",
-            "op": expr.op,
-            "left": expression_to_dict(expr.left),
-            "right": expression_to_dict(expr.right),
-        }
-    if isinstance(expr, BoolOp):
-        return {
-            "kind": "bool",
-            "op": expr.op,
-            "operands": [expression_to_dict(o) for o in expr.operands],
-        }
-    if isinstance(expr, Not):
-        return {"kind": "not", "operand": expression_to_dict(expr.operand)}
-    if isinstance(expr, FunctionCall):
-        return {
-            "kind": "call",
-            "name": expr.name,
-            "args": [expression_to_dict(a) for a in expr.args],
-        }
-    raise TypeError(f"not serializable: {expr!r}")
-
-
-def expression_from_dict(data: dict) -> Expression:
-    kind = data["kind"]
-    if kind == "var":
-        return Var(data["name"])
-    if kind == "lit":
-        return Literal(data["value"])
-    if kind == "cmp":
-        return Comparison(
-            data["op"],
-            expression_from_dict(data["left"]),
-            expression_from_dict(data["right"]),
-        )
-    if kind == "bool":
-        return BoolOp(data["op"], tuple(expression_from_dict(o) for o in data["operands"]))
-    if kind == "not":
-        return Not(expression_from_dict(data["operand"]))
-    if kind == "call":
-        return FunctionCall(data["name"], tuple(expression_from_dict(a) for a in data["args"]))
-    raise ValueError(f"unknown expression kind {kind!r}")
-
-
-def _term_to_dict(term) -> dict:
-    return expression_to_dict(term)
-
-
-def _term_triple_to_dict(pattern: TriplePattern) -> dict:
-    return {
-        "subject": _term_to_dict(pattern.subject),
-        "predicate": _term_to_dict(pattern.predicate),
-        "object": _term_to_dict(pattern.object),
-    }
-
-
-def _term_triple_from_dict(data: dict) -> TriplePattern:
-    return TriplePattern(
-        expression_from_dict(data["subject"]),  # type: ignore[arg-type]
-        expression_from_dict(data["predicate"]),  # type: ignore[arg-type]
-        expression_from_dict(data["object"]),  # type: ignore[arg-type]
-    )

@@ -26,9 +26,8 @@ runs the chains on the simulated clock.  Each interpreter keeps its own
 jitter order (depth first here, firing order there), so neither model's
 figures depend on the other.
 
-``Network`` also hosts cross-cutting overlay policy flags that routing
-consults via ``peer.network`` (currently :attr:`Network.route_warming`, the
-piggybacked route-cache warming switch).
+``Network`` also carries the optional queue-depth hint registry that
+routing consults via ``peer.network`` (:attr:`Network.hints`).
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ class Network:
         self.stats = NetworkStats()
         self.nodes: dict[str, Node] = {}
         self._link_latency: dict[tuple[str, str], float] = {}
-        #: When True, routed messages piggyback the learned destination so
-        #: transit peers warm their route caches (see repro.pgrid.routing).
-        self.route_warming = False
         #: Optional :class:`~repro.load.shedding.HintRegistry`.  When set,
         #: event-scheduled messages piggyback the sender's queue depth and
         #: hint-aware choices (diffusion, routing ties, reject retries) read

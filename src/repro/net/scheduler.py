@@ -31,15 +31,15 @@ the load-free scheduler.
 Two opt-in load-control layers ride on top (:mod:`repro.load.shedding`):
 
 * **admission control** — when the destination's
-  :class:`~repro.load.shedding.AdmissionPolicy` declines a delivered
-  message, the scheduler either *defers* it (re-offered after a penalty;
-  force-admitted after ``max_defers``, so deferred work is never lost) or
-  *rejects* it: a NACK message of kind ``"reject"`` travels back to the
-  sender — accounted like any other message — and the caller's
-  ``on_rejected`` callback fires at its arrival, typically to retry another
-  replica.  A reject with no ``on_rejected`` handler is parked (deferred)
-  instead, so plain data operations stay lossless.  Rejects and deferrals
-  are counted in :class:`~repro.net.stats.NetworkStats`.
+  :class:`~repro.load.shedding.ThresholdAdmission` *rejects* a delivered
+  message, a NACK message of kind ``"reject"`` travels back to the sender —
+  accounted like any other message — and the caller's ``on_rejected``
+  callback fires at its arrival, typically to retry another replica.  A
+  reject with no ``on_rejected`` handler is parked instead (re-offered
+  every :data:`PARK_PENALTY` seconds, force-admitted after
+  :data:`MAX_PARK_ROUNDS` rounds), so plain data operations stay lossless.
+  Rejects and park rounds (deferrals) are counted in
+  :class:`~repro.net.stats.NetworkStats`.
 * **hint piggybacking** — with a
   :class:`~repro.load.shedding.HintRegistry` attached, every message
   (data, reply and NACK alike) is stamped with the sender's advertised
@@ -68,6 +68,15 @@ if TYPE_CHECKING:
 
 #: Message kind of the admission-control NACK sent back to a rejected sender.
 REJECT_KIND = "reject"
+
+#: Seconds a parked job waits before it is offered again.  A reject with no
+#: ``on_rejected`` handler has nobody to tell, so the job is parked at the
+#: rejecting peer instead of being dropped.
+PARK_PENALTY = 0.01
+
+#: Park rounds after which a parked job is force-admitted, so admission
+#: control degrades a saturated peer's latency instead of losing work.
+MAX_PARK_ROUNDS = 8
 
 #: Callback invoked with the delivery instant of a message or chain.
 Completion = Callable[[float], None]
@@ -184,7 +193,7 @@ class EventScheduler:
         ``on_rejected`` is given, a NACK travels back to ``src`` and
         ``on_rejected`` fires with its arrival instant (the caller retries
         elsewhere); without a handler the rejected job is parked and
-        re-offered like a deferral, so it is never lost.  With a hint
+        re-offered until it is admitted, so it is never lost.  With a hint
         registry attached, the message departs stamped with ``src``'s
         advertised queue depth, observed by ``dst`` on arrival.
         """
@@ -236,16 +245,13 @@ class EventScheduler:
 
         ``arrival`` is the original network arrival (service stats measure
         queueing delay from it, so park time stays visible); ``at`` advances
-        past it on each deferral, ``defers`` counting the park rounds so far.
-        The policy is always consulted on the first offer; a *parked* job is
-        force-admitted once its park rounds reach ``max(max_defers, 1)``, so
-        even ``max_defers=0`` sheds on first contact but can never strand a
-        job that had nowhere to bounce.
+        past it on each park round, ``defers`` counting the rounds so far.
+        A parked job is force-admitted once it has been parked
+        :data:`MAX_PARK_ROUNDS` times.
         """
         load = self.load
         assert load is not None
-        policy = load.policy(dst)
-        if policy is not None and defers >= max(policy.max_defers, 1):
+        if defers >= MAX_PARK_ROUNDS:
             # Parked often enough: force-admit so parked work always drains.
             start, finish, depth = load.admit(dst, at, kind, size)
             verdict = "accept"
@@ -274,10 +280,10 @@ class EventScheduler:
                     # operation's bookkeeping still completes.
                     self.sim.schedule_at(at, lambda: on_rejected(at))
                 return
-            # Nobody to tell: park the job like a deferral so it is not lost.
+            # Nobody to tell: park the job so it is not lost.
         else:
             self.net.stats.record_defer(dst)
-        retry = at + policy.defer_penalty
+        retry = at + PARK_PENALTY
         self.sim.schedule_at(
             retry,
             lambda: self._offer(

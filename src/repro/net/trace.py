@@ -23,7 +23,7 @@ field is an absolute timestamp, not a duration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 
@@ -64,10 +64,6 @@ class Trace:
     def hop(latency: float, at: float = 0.0) -> "Trace":
         """A single message taking ``latency`` seconds (delivered at ``at``)."""
         return Trace(messages=1, hops=1, latency=latency, completion_time=at)
-
-    def finished_at(self, at: float) -> "Trace":
-        """Copy of this trace stamped with an absolute completion instant."""
-        return replace(self, completion_time=at)
 
     def __add__(self, other: "Trace") -> "Trace":
         """``+`` is sequential composition (alias of :meth:`then`)."""

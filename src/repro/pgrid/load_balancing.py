@@ -13,7 +13,8 @@ protocol over an existing overlay:
   fits the storage threshold or no move can help.
 
 Message accounting: data handed over during splits/migrations is sent as
-``balance`` messages, so E3 can also report the balancing traffic.
+``balance`` messages in the overlay's active execution model, so E3 can
+also report the balancing traffic.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def split_group(pnet: PGridNetwork, path: str) -> bool:
         # inside the receiving side is restored by replica sync below.
         if unwanted:
             target = ones[0] if peer in zeros else zeros[0]
-            pnet.net.send(peer.node_id, target.node_id, "balance", len(unwanted))
+            pnet.ship(peer.node_id, target.node_id, "balance", len(unwanted))
             for entry in unwanted:
                 target.store.put(entry)
 
@@ -103,7 +104,7 @@ def migrate_peer(pnet: PGridNetwork, donor: PGridPeer, target_path: str) -> None
     for entry in host.store:
         donor.store.put(entry)
         transferred += 1
-    pnet.net.send(host.node_id, donor.node_id, "balance", max(1, transferred))
+    pnet.ship(host.node_id, donor.node_id, "balance", max(1, transferred))
     donor.routing = type(donor.routing)(fanout=pnet.fanout)
     donor.adopt_refs(host)
     donor.replicas = []

@@ -34,13 +34,14 @@ def join_peer(
     The newcomer contacts a random online peer (its bootstrap contact),
     routes towards a random key, and joins the landing group as a replica:
     copies its data, adopts its references, registers in the replica lists.
+    Every message is charged in ``pnet``'s active execution model.
     """
     rng = rng or pnet.rng
     newcomer = pnet.add_peer(node_id, path="")
     contact = pnet.random_online_peer(rng)
     target_key = "".join(rng.choice("01") for _ in range(24))
-    hop = pnet.net.send(newcomer.node_id, contact.node_id, "join", size=1)
-    host, trace = route(contact, target_key, kind="join", rng=rng)
+    hop = pnet.ship(newcomer.node_id, contact.node_id, "join", size=1)
+    host, trace = route(contact, target_key, kind="join", rng=rng, runner=pnet)
     trace = hop.then(trace)
 
     newcomer.set_path(host.path)
@@ -48,7 +49,7 @@ def join_peer(
     for entry in host.store:
         newcomer.store.put(entry)
         copied += 1
-    trace = trace.then(pnet.net.send(host.node_id, newcomer.node_id, "join", size=max(1, copied)))
+    trace = trace.then(pnet.ship(host.node_id, newcomer.node_id, "join", size=max(1, copied)))
     newcomer.adopt_refs(host)
     for member_id in [host.node_id, *host.online_replicas()]:
         member = pnet.net.nodes[member_id]

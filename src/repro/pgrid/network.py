@@ -118,7 +118,7 @@ class PGridNetwork:
         With ``load=LoadModel(...)`` deliveries additionally queue for
         service at their destination peers, so the measured latency is
         link + queueing + service.  ``LoadModel(..., admission=policy)``
-        lets saturated peers reject or defer work, and ``hints=True``
+        lets saturated peers reject work, and ``hints=True``
         attaches a queue-depth hint registry (see :meth:`attach_scheduler`).
         """
         scheduler = self.attach_scheduler(simulator, load=load, hints=hints)

@@ -46,6 +46,9 @@ from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 from repro.pgrid.routing import point_key, route
 
+#: Bound on the leaves one sequential walk visits.
+MAX_SEQUENTIAL_LEAVES = 4096
+
 
 def range_query_shower(
     pnet: PGridNetwork,
@@ -280,12 +283,11 @@ def range_query_sequential_groups(
     start: PGridPeer | None = None,
     rng: random.Random | None = None,
     kind: str = "range",
-    max_leaves: int = 4096,
 ) -> tuple[list[tuple[str, list[Entry]]], Trace, bool]:
     """Sequential traversal in *produce* mode (rows stay at the leaves)."""
     groups: list[tuple[str, list[Entry]]] = []
     _entries, trace, complete = _sequential_walk(
-        pnet, key_range, start, rng, kind, max_leaves, groups=groups, collect=False
+        pnet, key_range, start, rng, kind, groups=groups, collect=False
     )
     return groups, trace, complete
 
@@ -296,11 +298,10 @@ def range_query_sequential(
     start: PGridPeer | None = None,
     rng: random.Random | None = None,
     kind: str = "range",
-    max_leaves: int = 4096,
 ) -> tuple[list[Entry], Trace, bool]:
     """Sequential (min-max) range traversal, left edge to right edge."""
     return _sequential_walk(
-        pnet, key_range, start, rng, kind, max_leaves, groups=None, collect=True
+        pnet, key_range, start, rng, kind, groups=None, collect=True
     )
 
 
@@ -310,7 +311,6 @@ def _sequential_walk(
     start: PGridPeer | None,
     rng: random.Random | None,
     kind: str,
-    max_leaves: int,
     groups: list[tuple[str, list[Entry]]] | None,
     collect: bool,
 ) -> tuple[list[Entry], Trace, bool]:
@@ -324,7 +324,7 @@ def _sequential_walk(
     except RoutingError as error:
         return [], getattr(error, "trace", Trace.ZERO), False
 
-    for _step in range(max_leaves):
+    for _step in range(MAX_SEQUENTIAL_LEAVES):
         local = current.store.scan(key_range)
         if groups is not None and local:
             groups.append((current.node_id, local))

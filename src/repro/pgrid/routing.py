@@ -11,7 +11,7 @@ at the needed level are unusable the router detours through an online replica
 of the current peer (replicas sample their references independently), and
 fails with :class:`RoutingError` only when no progress is possible at all.
 
-Two refinements over plain hop-by-hop routing support the batched data
+Three refinements over plain hop-by-hop routing support the batched data
 operations in :mod:`repro.pgrid.network`:
 
 * **route caching** — every peer keeps a :class:`RouteCache` mapping
@@ -20,17 +20,6 @@ operations in :mod:`repro.pgrid.network`:
   direct message.  Entries are validated at use time and evicted when the
   cached peer churned away (went offline, changed path, disappeared); a
   routing dead-end (offline detour) invalidates the covering entry too.
-
-* **route-cache warming** (opt-in: ``network.route_warming = True``) — a
-  routed data message piggybacks the sender's freshly learned cache entry
-  for the destination, so every *transit* peer on the path warms its own
-  cache from traffic it merely forwards, and mid-route the current peer's
-  cache is consulted too (a warm intermediate short-circuits the rest of
-  the route).  Repeat lookups from a second peer whose route crosses warmed
-  peers therefore take fewer hops without ever having routed the key
-  themselves.  This shipped in PR 4 as the warming half of the ROADMAP's
-  route-cache anti-entropy item; only the gossip-round (proactive)
-  propagation half is still open.
 
 * **hint-aware reference choice** (opt-in: attach a
   :class:`~repro.load.shedding.HintRegistry` to the network, e.g. via
@@ -139,11 +128,6 @@ class RouteCache:
         for prefix in [p for p in self._dest_by_prefix if key.startswith(p)]:
             self.invalidate(prefix)
 
-    def invalidate_peer(self, peer_id: str) -> None:
-        """Drop every entry pointing at ``peer_id`` (e.g. it announced leaving)."""
-        for prefix in [p for p, d in self._dest_by_prefix.items() if d == peer_id]:
-            self.invalidate(prefix)
-
     def clear(self) -> None:
         self._dest_by_prefix.clear()
         self._max_prefix = 0
@@ -202,7 +186,6 @@ def route_hops(
     start: PGridPeer,
     key: str,
     rng: random.Random | None = None,
-    use_cache: bool = True,
 ) -> tuple[PGridPeer, list[tuple[str, str]]]:
     """Discover the route from ``start`` towards ``key`` without sending.
 
@@ -212,33 +195,20 @@ def route_hops(
     :class:`RoutingError` with the partial hop list attached as ``.hops``.
     """
     rng = rng or start.network.rng
-    if use_cache:
-        cached = _cached_destination(start, key)
-        if cached is not None:
-            hops = [] if cached is start else [(start.node_id, cached.node_id)]
-            return cached, hops
+    cached = _cached_destination(start, key)
+    if cached is not None:
+        hops = [] if cached is start else [(start.node_id, cached.node_id)]
+        return cached, hops
 
-    warming = use_cache and getattr(start.network, "route_warming", False)
     current = start
     hops: list[tuple[str, str]] = []
     visited_detours: set[str] = set()
 
     for _hop in range(MAX_HOPS):
         if is_destination(current, key):
-            if use_cache and current.path:
+            if current.path:
                 start.route_cache.put(current.path, current.node_id)
-            if warming and current.path:
-                _warm_transit(start, hops, current)
             return current, hops
-
-        if warming and current is not start:
-            # The message carries the key it routes towards; a transit peer
-            # with a warm cache entry short-circuits the remaining hops.
-            cached = _cached_destination(current, key)
-            if cached is not None and cached is not current:
-                hops.append((current.node_id, cached.node_id))
-                current = cached
-                continue
 
         level = common_prefix_length(current.path, key)
         candidates = current.valid_refs(level)
@@ -251,8 +221,7 @@ def route_hops(
         # Dead end at this level: detour through a replica whose independent
         # reference sample may still cover the needed subtree.  A detour is
         # churn evidence, so drop any cached destination for this region.
-        if use_cache:
-            start.route_cache.invalidate_key(key)
+        start.route_cache.invalidate_key(key)
         visited_detours.add(current.node_id)
         detours = [r for r in current.online_replicas() if r not in visited_detours]
         if not detours:
@@ -271,29 +240,12 @@ def route_hops(
     raise error
 
 
-def _warm_transit(start: PGridPeer, hops: list[tuple[str, str]], destination: PGridPeer) -> None:
-    """Piggyback the learned ``(path -> destination)`` entry onto the route.
-
-    Every transit peer that forwarded the message (the hop sources, minus
-    the initiator whose cache is populated by :func:`route_hops` itself)
-    warms its own route cache from the traffic it observed.
-    """
-    network = start.network
-    for src_id, _dst_id in hops:
-        if src_id == start.node_id or src_id == destination.node_id:
-            continue
-        peer = network.nodes.get(src_id)
-        if isinstance(peer, PGridPeer):
-            peer.route_cache.put(destination.path, destination.node_id)
-
-
 def route(
     start: PGridPeer,
     key: str,
     kind: str = "route",
     size: int = 1,
     rng: random.Random | None = None,
-    use_cache: bool = True,
     runner: ChainRunner | None = None,
 ) -> tuple[PGridPeer, Trace]:
     """Route a message from ``start`` towards ``key``.
@@ -311,7 +263,7 @@ def route(
     """
     runner = start.network if runner is None else runner
     try:
-        destination, hops = route_hops(start, key, rng=rng, use_cache=use_cache)
+        destination, hops = route_hops(start, key, rng=rng)
     except RoutingError as error:
         error.trace = runner.run_chains([(error.hops, kind, size, then_send())])
         raise

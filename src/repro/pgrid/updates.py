@@ -29,7 +29,7 @@ def anti_entropy_round(pnet: PGridNetwork, rng: random.Random | None = None) -> 
 
     Returns the number of entries transferred (in either direction).  Each
     pairwise sync costs two messages (digest + delta), as in the protocol's
-    pull phase.
+    pull phase, charged in ``pnet``'s active execution model.
     """
     rng = rng or pnet.rng
     transferred = 0
@@ -41,9 +41,9 @@ def anti_entropy_round(pnet: PGridNetwork, rng: random.Random | None = None) -> 
         partner = pnet.net.nodes[partner_id]
         assert isinstance(partner, PGridPeer)
         try:
-            pnet.net.send(peer.node_id, partner_id, "anti-entropy", size=1)
+            pnet.ship(peer.node_id, partner_id, "anti-entropy", size=1)
             moved = sync_pair(peer, partner)
-            pnet.net.send(partner_id, peer.node_id, "anti-entropy", size=max(1, moved))
+            pnet.ship(partner_id, peer.node_id, "anti-entropy", size=max(1, moved))
             transferred += moved
         except NodeUnreachableError:  # partner failed mid-round
             continue

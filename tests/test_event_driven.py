@@ -10,6 +10,8 @@ Covers the scheduler layer end to end, per the PR's checklist:
   results), from bulk primitives all the way up to full VQL queries.
 """
 
+import random
+
 import pytest
 
 from repro import UniStore
@@ -22,6 +24,9 @@ from repro.pgrid.datastore import Entry
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.range_query import range_query_shower
 from repro.pgrid.keys import KeyRange
+from repro.pgrid.load_balancing import migrate_peer, split_group
+from repro.pgrid.merge import join_peer
+from repro.pgrid.updates import anti_entropy_round
 
 WORDS = [f"word{i:03d}" for i in range(40)]
 ITEMS = [(encode_string(w), f"id-{w}", f"val-{w}") for w in WORDS]
@@ -297,4 +302,45 @@ class TestTraceCompletionTime:
         assert Trace.parallel([a, b]).completion_time == 0.4
         assert a.then(Trace.ZERO) == a
         assert Trace.hop(0.1, at=1.5).completion_time == 1.5
-        assert Trace(2, 2, 0.5).finished_at(9.0) == Trace(2, 2, 0.5, 9.0)
+
+
+class TestMaintenanceInEventMode:
+    """Joins, anti-entropy and load balancing are charged on the simulated
+    clock inside ``event_driven()``, like every data operation."""
+
+    def _overlay(self):
+        pnet = build_network(
+            16, replication=2, seed=4, split_by="population", latency_model=ConstantLatency(0.1)
+        )
+        bulk_load(pnet, ITEMS)
+        return pnet
+
+    def test_join_is_scheduled(self):
+        pnet = self._overlay()
+        with pnet.event_driven() as sched:
+            _newcomer, trace = join_peer(pnet, "newcomer", rng=random.Random(1))
+        joins = [d for d in sched.log if d.kind == "join"]
+        assert len(joins) == trace.messages >= 2
+        assert trace.completion_time == pytest.approx(joins[-1].time)
+        assert trace.completion_time > 0.0
+
+    def test_anti_entropy_is_scheduled(self):
+        pnet = self._overlay()
+        with pnet.event_driven() as sched:
+            anti_entropy_round(pnet, rng=random.Random(2))
+        syncs = [d for d in sched.log if d.kind == "anti-entropy"]
+        paired = sum(1 for peer in pnet.online_peers() if peer.online_replicas())
+        assert len(syncs) == 2 * paired > 0
+        assert sched.now > 0.0
+
+    def test_split_and_migration_are_scheduled(self):
+        pnet = self._overlay()
+        path = max(pnet.peers, key=lambda p: (p.load, p.node_id)).path
+        donor = next(p for p in pnet.peers if p.path != path)
+        with pnet.event_driven() as sched:
+            assert split_group(pnet, path)
+            split = len(sched.log)
+            migrate_peer(pnet, donor, path + "0")
+        assert split > 0 and len(sched.log) == split + 1
+        assert {d.kind for d in sched.log} == {"balance"}
+        assert sched.now > 0.0

@@ -46,22 +46,15 @@ KEYS = [key for key, _id, _value in ITEMS]
 
 
 class TestServiceProfile:
-    def test_cost_per_kind_default_and_per_item(self):
-        profile = ServiceProfile({"lookup": 0.004}, default=0.001, per_item=0.0005)
-        assert profile.cost("lookup") == pytest.approx(0.0045)
-        assert profile.cost("lookup", size=10) == pytest.approx(0.009)
-        assert profile.cost("unknown") == pytest.approx(0.0015)
-        assert not profile.is_zero()
-        assert ZERO_PROFILE.is_zero()
-        assert ZERO_PROFILE.cost("anything", 999) == 0.0
+    def test_cost_per_kind(self):
+        profile = ServiceProfile({"lookup": 0.004})
+        assert profile.cost("lookup") == pytest.approx(0.004)
+        assert profile.cost("unknown") == 0.0
+        assert ZERO_PROFILE.cost("anything") == 0.0
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError):
             ServiceProfile({"lookup": -0.1})
-        with pytest.raises(ValueError):
-            ServiceProfile(default=-1.0)
-        with pytest.raises(ValueError):
-            ServiceProfile(per_item=-0.5)
 
 
 class TestSpeedFactors:

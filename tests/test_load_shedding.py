@@ -2,11 +2,11 @@
 
 Covers the PR 5 load-control loop end to end:
 
-* admission policies (threshold / probabilistic / deadline) and the
-  ``NodeQueue.offer`` gate — a declined job never mutates the queue;
+* the threshold admission policy and the ``NodeQueue.offer`` gate — a
+  declined job never mutates the queue;
 * scheduler semantics: rejects NACK the sender (an accounted message),
-  handler-less rejects and deferrals park-and-retry so no work is lost,
-  force-admission after ``max_defers``;
+  handler-less rejects park-and-retry so no work is lost, force-admission
+  after ``MAX_PARK_ROUNDS``;
 * hint piggybacking: every delivery stamps the sender's advertised depth,
   tables decay, and the staleness invariant holds (a hypothesis property:
   a hint never exceeds the subject's true peak depth since the piggyback
@@ -24,13 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.load import (
-    DeadlineAdmission,
     HintRegistry,
     HintTable,
     LoadModel,
     NodeQueue,
     OpenLoopDriver,
-    ProbabilisticAdmission,
     ServiceProfile,
     ThresholdAdmission,
     pick_least_hinted,
@@ -38,6 +36,7 @@ from repro.load import (
     summarize,
 )
 from repro.net import ConstantLatency, Network, ZeroLatency
+from repro.net.scheduler import MAX_PARK_ROUNDS, PARK_PENALTY
 from repro.pgrid import build_network, bulk_load, encode_string
 from repro.pgrid.datastore import Entry
 from repro.pgrid.network import PGridNetwork
@@ -56,41 +55,14 @@ KEYS = [key for key, _id, _value in ITEMS]
 class TestAdmissionPolicies:
     def test_threshold(self):
         policy = ThresholdAdmission(max_depth=2)
-        assert policy.decide(0, 0.0, 0.1) == "accept"
-        assert policy.decide(1, 0.5, 0.1) == "accept"
-        assert policy.decide(2, 1.0, 0.1) == "reject"
-        deferring = ThresholdAdmission(max_depth=0, action="defer")
-        assert deferring.decide(0, 0.0, 0.1) == "defer"
-
-    def test_probabilistic_ramp(self):
-        policy = ProbabilisticAdmission(start_depth=2, full_depth=6, seed=3)
-        assert policy.decide(0, 0.0, 0.1) == "accept"
-        assert policy.decide(1, 0.0, 0.1) == "accept"
-        assert policy.decide(6, 0.0, 0.1) == "reject"
-        assert policy.decide(99, 0.0, 0.1) == "reject"
-        mid = [policy.decide(4, 0.0, 0.1) for _ in range(400)]
-        # Halfway up the ramp: sheds roughly half, deterministically seeded.
-        shed = mid.count("reject")
-        assert 120 < shed < 280
-        twin = ProbabilisticAdmission(start_depth=2, full_depth=6, seed=3)
-        assert twin.decide(4, 0.0, 0.1) == mid[0]
-
-    def test_deadline(self):
-        policy = DeadlineAdmission(max_sojourn=1.0)
-        assert policy.decide(5, 0.5, 0.4) == "accept"  # 0.9 predicted
-        assert policy.decide(0, 0.5, 0.6) == "reject"  # 1.1 predicted
+        assert policy.decide(0) == "accept"
+        assert policy.decide(1) == "accept"
+        assert policy.decide(2) == "reject"
+        assert ThresholdAdmission(max_depth=0).decide(0) == "reject"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ThresholdAdmission(-1)
-        with pytest.raises(ValueError):
-            ThresholdAdmission(1, action="explode")
-        with pytest.raises(ValueError):
-            ThresholdAdmission(1, defer_penalty=0.0)
-        with pytest.raises(ValueError):
-            ProbabilisticAdmission(4, 4)
-        with pytest.raises(ValueError):
-            DeadlineAdmission(0.0)
 
 
 class TestNodeQueueOffer:
@@ -256,79 +228,69 @@ class TestSchedulerShedding:
 
     def test_handlerless_reject_is_parked_not_lost(self):
         pnet, a = _tiny_overlay()
-        policy = ThresholdAdmission(1, defer_penalty=0.25, max_defers=100)
-        model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": policy})
+        model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": ThresholdAdmission(1)})
         with pnet.event_driven(load=model) as sched:
             done = []
             sched.send_at(0.0, "a", "c", "ping", on_delivered=done.append)
             sched.send_at(0.0, "a", "c", "ping", on_delivered=done.append)
             sched.run()
-        # The shed job retries every 0.25 s and is admitted at the 1.5 retry,
-        # the instant the first job's service completes: done at 2.5.
+        # The shed job is re-offered every PARK_PENALTY seconds while the
+        # first job (0.5 -> 1.5) is in service, forced in after
+        # MAX_PARK_ROUNDS rounds (0.58), and queues behind it: done at 2.5.
+        assert MAX_PARK_ROUNDS * PARK_PENALTY < 1.0
         assert done == [pytest.approx(1.5), pytest.approx(2.5)]
         assert model.queue("c").jobs == 2
-        assert pnet.net.stats.total.total_rejects >= 1
+        assert pnet.net.stats.total.total_rejects == 1
+        assert "deferrals" in pnet.net.stats.total.snapshot()
 
-    def test_defer_action_and_forced_admission(self):
+    def test_parked_job_admitted_once_the_queue_drains(self):
+        """A parked job the policy admits before the forced round goes in at
+        the first re-offer that finds the queue below its cap."""
         pnet, a = _tiny_overlay()
-        # Depth budget 0 defers *everything*: only the forced admission
-        # after max_defers lets work through.
-        policy = ThresholdAdmission(0, action="defer", defer_penalty=0.1, max_defers=3)
-        model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": policy})
+        service = 2.5 * PARK_PENALTY
+        model = LoadModel(ServiceProfile({"ping": service}), admission={"c": ThresholdAdmission(1)})
         with pnet.event_driven(load=model) as sched:
             done = []
             sched.send_at(0.0, "a", "c", "ping", on_delivered=done.append)
-            sched.run()
-        assert done == [pytest.approx(0.5 + 3 * 0.1 + 1.0)]
-        assert model.queue("c").deferred == 3 and model.queue("c").jobs == 1
-        assert pnet.net.stats.total.total_deferrals == 3
-        assert "deferrals" in pnet.net.stats.total.snapshot()
-
-    def test_max_defers_zero_still_sheds_on_first_contact(self):
-        """Regression: max_defers=0 must not bypass the admission gate."""
-        pnet, a = _tiny_overlay()
-        policy = ThresholdAdmission(0, max_defers=0, defer_penalty=0.25)
-        model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": policy})
-        with pnet.event_driven(load=model) as sched:
-            nacked, done = [], []
-            sched.send_at(
-                0.0, "a", "c", "ping", on_delivered=done.append, on_rejected=nacked.append
-            )
             sched.send_at(0.0, "a", "c", "ping", on_delivered=done.append)
             sched.run()
-        # The rejectable message bounced; the handler-less one was parked
-        # once (the floor) and force-admitted at the first retry.
-        assert nacked == [pytest.approx(1.0)]
-        assert done == [pytest.approx(0.5 + 0.25 + 1.0)]
-        assert model.queue("c").rejected == 2 and model.queue("c").jobs == 1
+        # Declined at 0.5 (reject), 0.51 and 0.52 (deferrals); admitted by
+        # the policy at 0.53, after the first job finished at 0.525.
+        assert model.queue("c").rejected == 1
+        assert model.queue("c").deferred == 2
+        assert done == [
+            pytest.approx(0.5 + service),
+            pytest.approx(0.5 + 3 * PARK_PENALTY + service),
+        ]
 
     def test_parked_reject_counts_once(self):
         """Regression: one shed message = one reject, park rounds = defers."""
         pnet, a = _tiny_overlay()
-        policy = ThresholdAdmission(1, defer_penalty=0.25, max_defers=100)
-        model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": policy})
+        model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": ThresholdAdmission(1)})
         with pnet.event_driven(load=model) as sched:
             sched.send_at(0.0, "a", "c", "ping")
             sched.send_at(0.0, "a", "c", "ping")
             sched.run()
-        # The second message was declined at 0.5, 0.75, 1.0, 1.25 and got in
-        # at 1.5: one rejection, three park-round deferrals.
+        # The second message was declined at 0.5 (the reject) and at each of
+        # the following re-offers until the forced round: one rejection,
+        # MAX_PARK_ROUNDS - 1 park-round deferrals.
         assert model.queue("c").rejected == 1
-        assert model.queue("c").deferred == 3
+        assert model.queue("c").deferred == MAX_PARK_ROUNDS - 1
         assert pnet.net.stats.total.total_rejects == 1
-        assert pnet.net.stats.total.total_deferrals == 3
+        assert pnet.net.stats.total.total_deferrals == MAX_PARK_ROUNDS - 1
 
     def test_park_time_visible_in_service_stats(self):
         """Regression: queueing stats measure wait from the network arrival,
         so time spent parked by admission control is not invisible."""
         pnet, a = _tiny_overlay()
-        policy = ThresholdAdmission(0, action="defer", defer_penalty=0.1, max_defers=3)
-        model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": policy})
+        # Depth cap 0 declines *everything*: only the forced admission after
+        # MAX_PARK_ROUNDS lets the job through.
+        model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": ThresholdAdmission(0)})
         with pnet.net.frame() as frame, pnet.event_driven(load=model):
             pnet.scheduler.send_at(0.0, "a", "c", "ping")
             pnet.scheduler.run()
         ledger = frame.snapshot()["queueing"]["c"]
-        assert ledger["wait"] == pytest.approx(3 * 0.1)  # the three park rounds
+        assert ledger["wait"] == pytest.approx(MAX_PARK_ROUNDS * PARK_PENALTY)
 
     def test_hint_piggyback_on_deliveries(self):
         pnet, a = _tiny_overlay()
@@ -439,9 +401,9 @@ class TestDriverConservation:
             )
             return driver.run()
 
-    def _aggressive_model(self, pnet, action="reject"):
+    def _aggressive_model(self, pnet):
         gateway = pnet.peers[0].node_id
-        policy = ThresholdAdmission(1, action=action)
+        policy = ThresholdAdmission(1)
         admission = {p.node_id: policy for p in pnet.peers if p.node_id != gateway}
         return LoadModel(ServiceProfile({"lookup": 0.01}), admission=admission)
 
@@ -458,15 +420,6 @@ class TestDriverConservation:
             if not record.ok:
                 assert record.error, "failures must be reported with a reason"
         assert pnet.net.stats.total.total_rejects > 0
-
-    def test_deferring_overlay_loses_nothing_and_fails_nothing(self):
-        pnet = self._shedding_overlay(seed=23)
-        model = self._aggressive_model(pnet, action="defer")
-        records = self._drive(pnet, model, hints=False, rate=200.0)
-        assert all(r.completed is not None for r in records)
-        # Deferral never bounces work, so every op eventually succeeds.
-        assert all(r.ok for r in records)
-        assert pnet.net.stats.total.total_deferrals > 0
 
     def test_reject_retries_reach_other_replicas(self):
         pnet = self._shedding_overlay(seed=29)

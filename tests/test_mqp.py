@@ -1,4 +1,4 @@
-"""Mutant query plans: serialization, adaptive stepping, executor equivalence."""
+"""Mutant query plans: adaptive stepping, executor equivalence."""
 
 import random
 
@@ -7,21 +7,13 @@ import pytest
 from repro.algebra import build_plan, execute_reference, rewrite
 from repro.algebra.operators import PatternScan
 from repro.bench import ConferenceWorkload
-from repro.mqp import MutantQueryPlan, execute_mutant_plan, expression_from_dict, expression_to_dict
+from repro.mqp import execute_mutant_plan
 from repro.optimizer import CatalogStatistics, CostModel, choose_next_step
 from repro.pgrid import build_network
 from repro.physical.base import ExecutionContext
 from repro.triples import DistributedTripleStore
 from repro.vql import parse
-from repro.vql.ast import (
-    BoolOp,
-    Comparison,
-    FunctionCall,
-    Literal,
-    Not,
-    TriplePattern,
-    Var,
-)
+from repro.vql.ast import Literal, TriplePattern, Var
 
 
 @pytest.fixture(scope="module")
@@ -38,42 +30,6 @@ def env():
 
 def _canonical(rows):
     return sorted(tuple(sorted((k, repr(v)) for k, v in row.items())) for row in rows)
-
-
-class TestSerialization:
-    def test_expression_roundtrip(self):
-        expr = BoolOp(
-            "and",
-            (
-                Comparison("<", FunctionCall("edist", (Var("s"), Literal("ICDE"))), Literal(3)),
-                Not(Comparison("=", Var("x"), Literal(5))),
-            ),
-        )
-        assert expression_from_dict(expression_to_dict(expr)) == expr
-
-    def test_plan_roundtrip(self):
-        plan = MutantQueryPlan(
-            pending=[
-                PatternScan(
-                    TriplePattern(Var("a"), Literal("name"), Var("n")),
-                    (Comparison("!=", Var("n"), Literal("Bob")),),
-                )
-            ],
-            residual_filters=[Comparison("=", Var("a"), Var("b"))],
-            bindings=[{"a": "x"}],
-            location="peer-0001",
-            hops_travelled=3,
-        )
-        back = MutantQueryPlan.from_dict(plan.to_dict())
-        assert back.pending == plan.pending
-        assert back.residual_filters == plan.residual_filters
-        assert back.bindings == plan.bindings
-        assert back.location == plan.location
-        assert back.hops_travelled == 3
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            expression_from_dict({"kind": "alien"})
 
 
 class TestAdaptiveChoice:
@@ -218,3 +174,21 @@ class TestProbeOidCoercion:
         step = Step(scan=scan, method="probe-oid", shared_variable="x", estimated_cost=0.0)
         _probe(ctx, plan, step)
         assert plan.bindings == [{"x": "42", "n": "answer-tuple"}]
+
+
+class TestQGramSize:
+    """The MQP similarity scan probes grams of the store's own size."""
+
+    CITIES = ["berlin", "bernin", "merlin", "paris", "london", "boston", "dublin", "madrid"]
+    QUERY = "SELECT ?o,?c WHERE {(?o,'city',?c) FILTER edist(?c,'berlin')<2}"
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_mqp_rows_match_the_reference(self, q):
+        from repro import UniStore
+
+        store = UniStore.build(32, seed=3, enable_qgram_index=True, qgram_q=q)
+        store.insert_tuples([{"oid": f"o{i}", "city": c} for i, c in enumerate(self.CITIES)])
+        expected = store.execute(self.QUERY, mode="reference").rows
+        got = store.execute(self.QUERY, mode="mqp").rows
+        assert sorted(row["c"] for row in expected) == ["berlin", "bernin", "merlin"]
+        assert _canonical(got) == _canonical(expected)

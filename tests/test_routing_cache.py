@@ -1,14 +1,12 @@
-"""Per-peer route caching: shortcut hits, validation-at-use, invalidation,
-and opt-in piggybacked warming (transit peers learn from forwarded traffic)."""
+"""Per-peer route caching: shortcut hits, validation-at-use, invalidation;
+only the initiator of a route learns its destination."""
 
 import random
 
 import pytest
 
-from repro.net import Network, ZeroLatency
 from repro.pgrid import build_network, encode_string
 from repro.pgrid.keys import responsible
-from repro.pgrid.network import PGridNetwork
 from repro.pgrid.routing import RouteCache, point_key, route, route_hops
 
 
@@ -44,15 +42,6 @@ class TestRouteCacheUnit:
         assert cache.get("001") is None
         assert cache.get("110")[1] == "c"
 
-    def test_invalidate_peer(self):
-        cache = RouteCache()
-        cache.put("00", "a")
-        cache.put("01", "a")
-        cache.put("10", "b")
-        cache.invalidate_peer("a")
-        assert cache.get("000") is None and cache.get("010") is None
-        assert cache.get("100")[1] == "b"
-
     def test_rejects_silly_capacity(self):
         with pytest.raises(ValueError):
             RouteCache(capacity=0)
@@ -69,15 +58,6 @@ class TestRoutingWithCache:
         assert second_trace.messages <= 1  # cached: direct hop (0 when local)
         assert second_trace.messages <= first_trace.messages
         assert start.route_cache.hits >= 1
-
-    def test_disabled_cache_is_never_consulted_or_populated(self):
-        pnet = build_network(64, replication=2, seed=3, split_by="population")
-        start = pnet.peers[0]
-        key = _key("repeatable")
-        route(start, key, use_cache=False)
-        route(start, key, use_cache=False)
-        assert len(start.route_cache) == 0
-        assert start.route_cache.hits == 0
 
     def test_offline_destination_is_evicted_and_rerouted(self):
         pnet = build_network(32, replication=2, seed=5, split_by="population")
@@ -107,77 +87,12 @@ class TestRoutingWithCache:
         assert start.route_cache.evictions >= 1
 
     def test_route_warming_is_off_by_default(self):
+        """Transit peers forward a route without learning its destination."""
         pnet = build_network(128, replication=2, seed=21, split_by="population")
-        assert pnet.net.route_warming is False
         key = point_key(encode_string("wander"))
         _dest, hops = route_hops(pnet.peers[0], key, rng=random.Random(1))
         for src_id, _dst_id in hops[1:]:
             assert len(pnet.net.nodes[src_id].route_cache) == 0
-
-    def test_warming_piggyback_shortens_second_peer_routes(self):
-        """A transit peer learns the destination from traffic it forwards, so
-        its own repeat lookup for the region takes fewer hops than the cold
-        route in an identical (unwarmed) twin overlay."""
-
-        def overlay(warm: bool) -> "PGridNetwork":
-            pnet = build_network(128, replication=2, seed=21, split_by="population")
-            pnet.net.route_warming = warm
-            return pnet
-
-        cold, warm = overlay(False), overlay(True)
-        # Find a key whose route from peer 0 transits a peer that would
-        # itself need >= 2 hops — the case warming is supposed to help.
-        for word_index in range(40):
-            key = point_key(encode_string(f"probe{word_index:02d}"))
-            scout = overlay(False)
-            _dest, hops = route_hops(scout.peers[0], key, rng=random.Random(1))
-            if len(hops) < 2:
-                continue
-            transit_id = hops[0][1]
-            _dest, transit_cold = route_hops(scout.net.nodes[transit_id], key, rng=random.Random(2))
-            if len(transit_cold) >= 2:
-                break
-        else:
-            pytest.fail("no suitable multi-hop route found")
-
-        cold_dest, cold_hops = route_hops(cold.peers[0], key, rng=random.Random(1))
-        warm_dest, warm_hops = route_hops(warm.peers[0], key, rng=random.Random(1))
-        assert cold_hops == warm_hops  # warming never changes the first route
-        assert warm_dest.node_id == cold_dest.node_id
-
-        # Second peer: a transit peer of the first route repeats the lookup.
-        cold_transit = cold.net.nodes[cold_hops[0][1]]
-        warm_transit = warm.net.nodes[warm_hops[0][1]]
-        assert len(warm_transit.route_cache) >= 1  # piggybacked entry landed
-        _dest, cold_second = route_hops(cold_transit, key, rng=random.Random(2))
-        warm_second_dest, warm_second = route_hops(warm_transit, key, rng=random.Random(2))
-        assert len(warm_second) == 1  # direct: cache hit from observed traffic
-        assert len(warm_second) < len(cold_second)
-        assert responsible(warm_second_dest.path, key)
-
-    def test_midroute_cache_consult_short_circuits(self):
-        """With warming on, a warm *intermediate* cuts the remaining hops."""
-        pnet = PGridNetwork(Network(latency_model=ZeroLatency(), seed=0))
-        s = pnet.add_peer("s", "0")
-        m = pnet.add_peer("m", "10")
-        x = pnet.add_peer("x", "110")
-        d = pnet.add_peer("d", "111")
-        s.routing.add(0, "m")
-        m.routing.add(0, "s")
-        m.routing.add(1, "x")
-        x.routing.add(2, "d")
-        d.routing.add(2, "x")
-        key = point_key("111")
-        # Cold: s -> m -> x -> d.
-        dest, hops = route_hops(s, key)
-        assert dest is d and len(hops) == 3
-        s.route_cache.clear()
-        # Warm m's cache (as if it observed traffic towards d) and re-route.
-        pnet.net.route_warming = True
-        m.route_cache.put("111", "d")
-        dest, hops = route_hops(s, key)
-        assert dest is d
-        assert hops == [("s", "m"), ("m", "d")]  # m jumped straight to d
 
     def test_cache_does_not_change_results_under_churn(self):
         """Routed lookups keep returning the stored value across fail/recover."""
