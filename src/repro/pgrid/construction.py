@@ -29,9 +29,10 @@ from operator import attrgetter
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.pgrid.datastore import Entry
-from repro.pgrid.keys import canonical, common_prefix_length, flip, increment_path, responsible
+from repro.pgrid.keys import canonical, common_prefix_length, flip, increment_path
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
+from repro.pgrid.updates import sync_pair
 
 #: Trie depth cap for the oracle builder; deep enough for any realistic
 #: partition (2^48 leaves) while bounding pathological splits of equal keys.
@@ -204,9 +205,8 @@ def bulk_load(pnet: PGridNetwork, items: list[tuple[str, str, object]]) -> None:
             key = keys[min(start, placed)]
             problem = "lies in two groups" if start < placed else "has no responsible group"
             raise LookupError(f"key {key[:24]!r} {problem}")
-        for entry in entries[start:stop]:
-            for peer in peers:
-                peer.store.put(entry)
+        for peer in peers:
+            peer.store.merge(entries[start:stop])
         placed = stop
     if placed != len(keys):
         raise LookupError(f"key {keys[placed][:24]!r} has no responsible group")
@@ -283,14 +283,10 @@ def _split_pair(p: PGridPeer, q: PGridPeer) -> None:
     p.remove_replica(q.node_id)
     q.remove_replica(p.node_id)
     # Swap the halves that now belong to the other side.
-    p_keep, p_give = p.store.partition(p.path)
-    q_give, q_keep = q.store.partition(p.path)
-    p.store.clear()
-    q.store.clear()
-    for entry in p_keep + q_give:
-        p.store.put(entry)
-    for entry in q_keep + p_give:
-        q.store.put(entry)
+    p_give = p.store.retain(p.path)
+    q_give = q.store.retain(p.path, inside=False)
+    p.store.merge(q_give)
+    q.store.merge(p_give)
     if p_give or q_give:
         p.network.send(p.node_id, q.node_id, "exchange", max(1, len(p_give)))
         q.network.send(q.node_id, p.node_id, "exchange", max(1, len(q_give)))
@@ -300,11 +296,7 @@ def _sync_replicas(p: PGridPeer, q: PGridPeer) -> None:
     """Equal-path peers below capacity become replicas and synchronise."""
     p.add_replica(q.node_id)
     q.add_replica(p.node_id)
-    transferred = 0
-    for entry in list(p.store):
-        transferred += q.store.put(entry)
-    for entry in list(q.store):
-        transferred += p.store.put(entry)
+    transferred = sync_pair(p, q)
     p.adopt_refs(q)
     q.adopt_refs(p)
     if transferred:
@@ -312,16 +304,11 @@ def _sync_replicas(p: PGridPeer, q: PGridPeer) -> None:
 
 
 def _shed_misplaced(giver: PGridPeer, taker: PGridPeer) -> None:
-    """Move entries that ``giver`` no longer covers but ``taker`` does."""
-    moved: list = []
-    for entry in list(giver.store):
-        if not responsible(giver.path, entry.key) and responsible(taker.path, entry.key):
-            moved.append(entry)
+    """Move the entries ``taker`` covers from ``giver`` (their paths diverge)."""
+    moved = giver.store.retain(taker.path, inside=False)
     if not moved:
         return
-    for entry in moved:
-        giver.store.delete(entry.key, entry.item_id)
-        taker.store.put(entry)
+    taker.store.merge(moved)
     giver.network.send(giver.node_id, taker.node_id, "exchange", len(moved))
 
 

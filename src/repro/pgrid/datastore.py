@@ -1,10 +1,17 @@
-"""Per-peer local storage.
+"""Per-peer local storage, and the one owner of replica state.
 
 Each P-Grid peer owns a :class:`DataStore`: a versioned key/value multi-map
 with a sorted key index for range scans.  Entries are identified by
 ``(key, item_id)`` — inserting a newer version of the same identity replaces
 the old one (this is what the update protocol of paper ref. [4] relies on),
 while distinct items may share a key (many triples can hash to one key).
+
+Every copy, hand-off and merge of stored entries between peers goes through
+this module, so the rule "which entries move, and which version wins" is
+written once: :meth:`DataStore.merge` (newest version wins),
+:meth:`DataStore.retain` (hand off what a peer no longer covers),
+:meth:`DataStore.copy_from` (a joining or migrating replica) and
+:func:`newest` (the newest version per identity over several stores).
 
 Keys are binary key strings (see :mod:`repro.pgrid.keys`); values are opaque
 to this layer (the triple layer stores index postings here).
@@ -14,7 +21,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Iterator
+from itertools import chain
+from typing import Any, Iterable, Iterator
 
 from repro.pgrid.keys import KeyRange
 
@@ -48,25 +56,32 @@ class DataStore:
             yield from self._by_key[key].values()
 
     def put(self, entry: Entry) -> bool:
-        """Insert or upgrade an entry.
+        """Insert or upgrade one entry; True when the store changed (see :meth:`merge`)."""
+        return self.merge((entry,)) == 1
 
-        Returns True when the store changed (new identity, or strictly newer
-        version of an existing identity).  Older or equal versions of an
+    def merge(self, entries: Iterable[Entry]) -> int:
+        """Insert or upgrade each entry, in order; return how many changed the store.
+
+        An entry changes the store when its identity is new or its version is
+        strictly newer than the stored one.  Older or equal versions of an
         existing identity are ignored — this makes replica synchronisation
-        idempotent and order-insensitive.
+        idempotent and order-insensitive.  The revision moves by the count.
         """
-        items = self._by_key.get(entry.key)
-        if items is None:
-            bisect.insort(self._sorted_keys, entry.key)
-            self._by_key[entry.key] = {entry.item_id: entry}
-            self.revision += 1
-            return True
-        existing = items.get(entry.item_id)
-        if existing is not None and existing.version >= entry.version:
-            return False
-        items[entry.item_id] = entry
-        self.revision += 1
-        return True
+        by_key = self._by_key
+        changed = 0
+        for entry in entries:
+            items = by_key.get(entry.key)
+            if items is None:
+                bisect.insort(self._sorted_keys, entry.key)
+                by_key[entry.key] = {entry.item_id: entry}
+            else:
+                existing = items.get(entry.item_id)
+                if existing is not None and existing.version >= entry.version:
+                    continue
+                items[entry.item_id] = entry
+            changed += 1
+        self.revision += changed
+        return changed
 
     def delete(self, key: str, item_id: str) -> bool:
         """Remove one identity; returns True when it existed."""
@@ -131,18 +146,34 @@ class DataStore:
         self._sorted_keys.clear()
         self.revision += 1
 
-    def retain(self, predicate) -> int:
-        """Keep only entries for which ``predicate(entry)`` is true; return #removed."""
-        removed = 0
-        for key in list(self._sorted_keys):
-            items = self._by_key[key]
-            for item_id in [i for i, e in items.items() if not predicate(e)]:
-                del items[item_id]
-                removed += 1
-            if not items:
-                del self._by_key[key]
-                index = bisect.bisect_left(self._sorted_keys, key)
-                del self._sorted_keys[index]
-        if removed:
-            self.revision += 1
-        return removed
+    def retain(self, prefix: str, inside: bool = True) -> list[Entry]:
+        """Keep only the entries in the subtree of ``prefix`` (with ``inside=False``,
+        those outside it); remove and return the others, in key order.  Like
+        :meth:`partition`, two bisects of the sorted key index find the subtree."""
+        start, stop = self._bounds(KeyRange.subtree(prefix))
+        keys = self._sorted_keys
+        sides = keys[start:stop], keys[:start] + keys[stop:]
+        kept, dropped = sides if inside else sides[::-1]
+        handed = self._entries(dropped)
+        for key in dropped:
+            del self._by_key[key]
+        self._sorted_keys = kept
+        self.revision += len(handed)
+        return handed
+
+    def copy_from(self, other: "DataStore") -> int:
+        """Replace the contents with ``other``'s, in its order; return the entry count."""
+        self._by_key = {key: dict(items) for key, items in other._by_key.items()}
+        self._sorted_keys = list(other._sorted_keys)
+        self.revision += 1
+        return len(self)
+
+
+def newest(sources: Iterable[Iterable[Entry]]) -> list[Entry]:
+    """The newest version of each identity over ``sources``, in first-seen order."""
+    seen: dict[tuple[str, str], Entry] = {}
+    for entry in chain.from_iterable(sources):
+        existing = seen.get((entry.key, entry.item_id))
+        if existing is None or entry.version > existing.version:
+            seen[entry.key, entry.item_id] = entry
+    return list(seen.values())

@@ -7,7 +7,11 @@ groups stay shallow and surplus peers *migrate* to overloaded regions to
 enable further splits.  This module implements that dynamic as an iterative
 protocol over an existing overlay:
 
-* :func:`split_group` — one split of a replica group with >= 2 peers;
+* :func:`split_group` — one split of a replica group with >= 2 peers, all
+  online: each side keeps its half (``retain``) and takes the other's
+  (``merge``);
+* :func:`migrate_peer` — a donor becomes a copy of an online member of
+  another group (:func:`copy_replica`, as a joining peer does);
 * :func:`rebalance` — repeat splits (recruiting donors from underloaded
   groups when an overloaded group has no partner) until every group's data
   fits the storage threshold or no move can help.
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import random
 
+from repro.net.trace import Trace
+from repro.pgrid.datastore import newest
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 
@@ -33,13 +39,14 @@ def group_load(peers: list[PGridPeer]) -> int:
 def split_group(pnet: PGridNetwork, path: str) -> bool:
     """Split the replica group at ``path`` one level deeper.
 
-    Requires at least two peers in the group (each side needs an owner).
+    Requires at least two peers in the group (each side needs an owner),
+    all of them online (an offline member could not take its hand-off).
     Peers are divided between ``path+'0'`` and ``path+'1'``; each side keeps
     the entries its new path covers and hands the rest to the other side.
     Returns False when the group cannot split.
     """
     group = [p for p in pnet.peers if p.path == path]
-    if len(group) < 2:
+    if len(group) < 2 or not all(p.online for p in group):
         return False
     group.sort(key=lambda p: p.node_id)
     half = len(group) // 2
@@ -50,19 +57,13 @@ def split_group(pnet: PGridNetwork, path: str) -> bool:
         for peer in side:
             peer.set_path(path + bit)
     for peer in zeros + ones:
-        keep, give = peer.store.partition(path + "0")
-        wanted = keep if peer.path[level] == "0" else give
-        unwanted = give if wanted is keep else keep
-        peer.store.clear()
-        for entry in wanted:
-            peer.store.put(entry)
-        # Hand entries of the other side to one peer there; replication
+        # Hand the other side's entries to one peer there; replication
         # inside the receiving side is restored by replica sync below.
+        unwanted = peer.store.retain(path + "0", inside=peer in zeros)
         if unwanted:
             target = ones[0] if peer in zeros else zeros[0]
             pnet.ship(peer.node_id, target.node_id, "balance", len(unwanted))
-            for entry in unwanted:
-                target.store.put(entry)
+            target.store.merge(unwanted)
 
     # Rebuild replica lists and cross-side routing references.
     for side, other in ((zeros, ones), (ones, zeros)):
@@ -72,16 +73,9 @@ def split_group(pnet: PGridNetwork, path: str) -> bool:
                 peer.routing.add(level, ref.node_id)
     # Synchronise data within each side (cheap local copies between replicas).
     for side in (zeros, ones):
-        merged = {}
+        merged = newest(peer.store for peer in side)
         for peer in side:
-            for entry in peer.store:
-                identity = (entry.key, entry.item_id)
-                current = merged.get(identity)
-                if current is None or entry.version > current.version:
-                    merged[identity] = entry
-        for peer in side:
-            for entry in merged.values():
-                peer.store.put(entry)
+            peer.store.merge(merged)
     return True
 
 
@@ -89,28 +83,34 @@ def migrate_peer(pnet: PGridNetwork, donor: PGridPeer, target_path: str) -> None
     """Move ``donor`` into the replica group at ``target_path``.
 
     The donor abandons its current group (which must retain at least one
-    peer), copies the target group's data and adopts a member's references.
+    peer) and becomes a copy of an online member of the target group.
+    Raises :class:`ValueError` when it has no online member.
     """
     group = [p for p in pnet.peers if p.path == target_path and p is not donor]
-    if not group:
-        raise ValueError(f"no peers at path {target_path!r} to join")
-    host = group[0]
+    hosts = [p for p in group if p.online]
+    if not hosts:
+        raise ValueError(f"no online peer at path {target_path!r} to copy from")
     for former in pnet.peers:
         if former is not donor and former.path == donor.path:
             former.remove_replica(donor.node_id)
-    donor.set_path(target_path)
-    donor.store.clear()
-    transferred = 0
-    for entry in host.store:
-        donor.store.put(entry)
-        transferred += 1
-    pnet.ship(host.node_id, donor.node_id, "balance", max(1, transferred))
-    donor.routing = type(donor.routing)(fanout=pnet.fanout)
-    donor.adopt_refs(host)
-    donor.replicas = []
-    for member in group:
-        member.add_replica(donor.node_id)
-        donor.add_replica(member.node_id)
+    copy_replica(pnet, donor, hosts[0], group, "balance")
+
+
+def copy_replica(
+    pnet: PGridNetwork, peer: PGridPeer, host: PGridPeer, members: list[PGridPeer], kind: str
+) -> Trace:
+    """Make ``peer`` a replica of ``host`` (path, data, references) and of each
+    of ``members``; the data travels as one ``kind`` message, whose trace is returned."""
+    peer.set_path(host.path)
+    peer.routing = type(peer.routing)(fanout=pnet.fanout)
+    copied = peer.store.copy_from(host.store)
+    trace = pnet.ship(host.node_id, peer.node_id, kind, max(1, copied))
+    peer.adopt_refs(host)
+    peer.replicas = []
+    for member in members:
+        member.add_replica(peer.node_id)
+        peer.add_replica(member.node_id)
+    return trace
 
 
 def rebalance(

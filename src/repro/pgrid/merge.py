@@ -3,8 +3,8 @@ of two, formerly independent, overlays").
 
 * :func:`join_peer` — a single newcomer joins a running overlay: it routes a
   join request to a random point of the key space, becomes a replica of the
-  landing group (cloning data + references), and later load balancing may
-  deepen the trie around it.
+  landing group (cloning data + references, as a migrating peer does), and
+  later load balancing may deepen the trie around it.
 
 * :func:`merge_overlays` — every peer of overlay ``b`` joins overlay ``a``
   and re-publishes the entries it was responsible for.  Both overlays must
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from repro.net.trace import Trace
-from repro.pgrid.load_balancing import rebalance
+from repro.pgrid.load_balancing import copy_replica, rebalance
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 from repro.pgrid.routing import route
@@ -44,18 +44,8 @@ def join_peer(
     host, trace = route(contact, target_key, kind="join", rng=rng, runner=pnet)
     trace = hop.then(trace)
 
-    newcomer.set_path(host.path)
-    copied = 0
-    for entry in host.store:
-        newcomer.store.put(entry)
-        copied += 1
-    trace = trace.then(pnet.ship(host.node_id, newcomer.node_id, "join", size=max(1, copied)))
-    newcomer.adopt_refs(host)
-    for member_id in [host.node_id, *host.online_replicas()]:
-        member = pnet.net.nodes[member_id]
-        assert isinstance(member, PGridPeer)
-        member.add_replica(newcomer.node_id)
-        newcomer.add_replica(member_id)
+    members = [host, *map(pnet.peer, host.online_replicas())]
+    trace = trace.then(copy_replica(pnet, newcomer, host, members, "join"))
     return newcomer, trace
 
 

@@ -6,10 +6,11 @@ use: routed ``insert`` / ``lookup`` / ``update``, plus global-view inspection
 helpers (used only by tests, benchmarks and the oracle builder — never by the
 distributed algorithms themselves).
 
-Writes go to **all online replicas** of the responsible group; reads are
-served by whichever replica routing lands on.  This mirrors P-Grid's
-replication model, where updates are pushed best-effort and replicas converge
-through anti-entropy (:mod:`repro.pgrid.updates`).
+Writes go to **all online replicas** of the responsible group (one group
+write per operation); reads are served by whichever replica routing lands
+on.  This mirrors P-Grid's replication model, where updates are pushed
+best-effort and replicas converge through anti-entropy
+(:mod:`repro.pgrid.updates`).
 
 Besides the per-key operations, the facade offers **destination-grouped bulk
 primitives** — :meth:`PGridNetwork.insert_many` / :meth:`PGridNetwork.lookup_many`.
@@ -49,10 +50,10 @@ from typing import Iterator
 
 from repro.errors import RoutingError
 from repro.net.network import Network
-from repro.net.scheduler import ChainSpec, EventScheduler, PartialChain, then_send
+from repro.net.scheduler import ChainSpec, EventScheduler, PartialChain, Sends, then_send
 from repro.net.simulator import EventSimulator
 from repro.net.trace import Trace
-from repro.pgrid.datastore import Entry
+from repro.pgrid.datastore import Entry, newest
 from repro.pgrid.keys import KeyRange, is_complete_partition, responsible
 from repro.pgrid.peer import PGridPeer
 from repro.pgrid.routing import point_key, route, route_hops
@@ -206,11 +207,7 @@ class PGridNetwork:
         # Point semantics: land on the exact responsible leaf, not merely an
         # entry point into the key's subtree (matters for deep tries).
         destination, trace = route(start, point_key(key), kind=kind, runner=self)
-        destination.store.put(entry)
-        pushes = []
-        for replica_id in destination.online_replicas():
-            self.net.nodes[replica_id].store.put(entry)
-            pushes.append((destination.node_id, replica_id, kind, 1))
+        _changed, pushes = self._write_group(destination, kind, [entry])
         return trace.then(self.ship_many(pushes)) if pushes else trace
 
     def lookup(
@@ -346,15 +343,7 @@ class PGridNetwork:
                 for key in region_keys
                 for item_id, value in by_key[key]
             ]
-            for entry in entries:
-                destination.store.put(entry)
-            pushes = []
-            for replica_id in destination.online_replicas():
-                replica = self.net.nodes[replica_id]
-                assert isinstance(replica, PGridPeer)
-                for entry in entries:
-                    replica.store.put(entry)
-                pushes.append((destination.node_id, replica_id, kind, len(entries)))
+            _changed, pushes = self._write_group(destination, kind, entries)
             chains.append((hops, kind, len(entries), then_send(pushes)))
         return self.run_chains(chains)
 
@@ -415,16 +404,22 @@ class PGridNetwork:
         """
         start = start or self.random_online_peer()
         destination, trace = route(start, point_key(key), kind="delete", runner=self)
-        removed = destination.store.delete(key, item_id)
-        pushes = []
-        for replica_id in destination.online_replicas():
-            replica = self.net.nodes[replica_id]
-            assert isinstance(replica, PGridPeer)
-            removed = replica.store.delete(key, item_id) or removed
-            pushes.append((destination.node_id, replica_id, "delete", 1))
+        removed, pushes = self._write_group(destination, "delete", delete=(key, item_id))
         if pushes:
             trace = trace.then(self.ship_many(pushes))
         return removed, trace
+
+    def _write_group(
+        self, destination: PGridPeer, kind: str, entries=(), delete: tuple | None = None
+    ) -> tuple[bool, Sends]:
+        """Merge ``entries`` into (or ``delete`` one ``(key, item_id)`` from) the
+        stores of ``destination`` and its online replicas.  Returns whether any
+        store changed, and one push per replica sized by the entries (1 for a
+        delete)."""
+        members = [destination, *(self.net.nodes[rid] for rid in destination.online_replicas())]
+        changed = [m.store.delete(*delete) if delete else m.store.merge(entries) for m in members]
+        size = 1 if delete else len(entries)
+        return any(changed), [(destination.node_id, m.node_id, kind, size) for m in members[1:]]
 
     def update(
         self,
@@ -476,12 +471,6 @@ class PGridNetwork:
         With a range, each peer contributes only its sorted slice of it
         (:meth:`DataStore.scan`), so the cost follows the range, not the store.
         """
-        seen: dict[tuple[str, str], Entry] = {}
-        for peer in self.peers:
-            entries = peer.store if key_range is None else peer.store.scan(key_range)
-            for entry in entries:
-                identity = (entry.key, entry.item_id)
-                existing = seen.get(identity)
-                if existing is None or entry.version > existing.version:
-                    seen[identity] = entry
-        return list(seen.values())
+        return newest(
+            peer.store if key_range is None else peer.store.scan(key_range) for peer in self.peers
+        )

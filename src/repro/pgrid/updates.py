@@ -10,6 +10,9 @@ has two phases:
   periodically each peer contacts a random replica and the pair exchange
   entry versions, adopting whatever is newer.
 
+Both phases move entries through ``DataStore.merge`` (newest version wins).
+A round's pairs run as one routed wave: one round trip of simulated time.
+
 The guarantees are probabilistic ("lose consistency" in the paper's words):
 :func:`staleness` quantifies convergence, and experiment E9 shows it decaying
 towards zero with successive anti-entropy rounds.
@@ -18,8 +21,10 @@ towards zero with successive anti-entropy rounds.
 from __future__ import annotations
 
 import random
+from functools import partial
 
-from repro.errors import NodeUnreachableError
+from repro.net.scheduler import Sends
+from repro.pgrid.datastore import newest
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 
@@ -29,37 +34,35 @@ def anti_entropy_round(pnet: PGridNetwork, rng: random.Random | None = None) -> 
 
     Returns the number of entries transferred (in either direction).  Each
     pairwise sync costs two messages (digest + delta), as in the protocol's
-    pull phase, charged in ``pnet``'s active execution model.
+    pull phase.  Partners are drawn first, then all pairs run as one wave in
+    ``pnet``'s active execution model; a pair with a peer that went offline
+    meanwhile (event mode) is skipped.
     """
     rng = rng or pnet.rng
     transferred = 0
+
+    def reconcile(peer: PGridPeer, partner: PGridPeer, _time: float) -> Sends:
+        nonlocal transferred
+        if not (peer.online and partner.online):
+            return []
+        moved = sync_pair(peer, partner)
+        transferred += moved
+        return [(partner.node_id, peer.node_id, "anti-entropy", max(1, moved))]
+
+    chains = []
     for peer in pnet.online_peers():
         partners = peer.online_replicas()
-        if not partners:
-            continue
-        partner_id = rng.choice(partners)
-        partner = pnet.net.nodes[partner_id]
-        assert isinstance(partner, PGridPeer)
-        try:
-            pnet.ship(peer.node_id, partner_id, "anti-entropy", size=1)
-            moved = sync_pair(peer, partner)
-            pnet.ship(partner_id, peer.node_id, "anti-entropy", size=max(1, moved))
-            transferred += moved
-        except NodeUnreachableError:  # partner failed mid-round
-            continue
+        if partners:
+            partner = pnet.peer(rng.choice(partners))
+            digest = [(peer.node_id, partner.node_id)]
+            chains.append((digest, "anti-entropy", 1, partial(reconcile, peer, partner)))
+    pnet.run_chains(chains)
     return transferred
 
 
 def sync_pair(a: PGridPeer, b: PGridPeer) -> int:
     """Bidirectional reconciliation of two replicas; returns entries copied."""
-    moved = 0
-    for entry in list(a.store):
-        if b.store.put(entry):
-            moved += 1
-    for entry in list(b.store):
-        if a.store.put(entry):
-            moved += 1
-    return moved
+    return b.store.merge(a.store) + a.store.merge(b.store)
 
 
 def staleness(pnet: PGridNetwork, sample_keys: list[str]) -> float:
@@ -76,14 +79,10 @@ def staleness(pnet: PGridNetwork, sample_keys: list[str]) -> float:
         group = pnet.responsible_group(key)
         if not group:
             continue
-        latest: dict[str, int] = {}
-        for peer in group:
-            for entry in peer.store.get(key):
-                latest[entry.item_id] = max(latest.get(entry.item_id, -1), entry.version)
-        for item_id, newest in latest.items():
+        for latest in newest(peer.store.get(key) for peer in group):
             for peer in group:
                 copies += 1
-                local = peer.store.get_entry(key, item_id)
-                if local is None or local.version < newest:
+                local = peer.store.get_entry(key, latest.item_id)
+                if local is None or local.version < latest.version:
                     stale += 1
     return stale / copies if copies else 0.0

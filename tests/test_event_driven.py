@@ -331,7 +331,19 @@ class TestMaintenanceInEventMode:
         syncs = [d for d in sched.log if d.kind == "anti-entropy"]
         paired = sum(1 for peer in pnet.online_peers() if peer.online_replicas())
         assert len(syncs) == 2 * paired > 0
-        assert sched.now > 0.0
+        # All pairs gossip concurrently: one digest + reply round trip, not
+        # one round trip per pair.
+        assert sched.now == pytest.approx(0.2)
+
+    def test_anti_entropy_skips_a_peer_that_fails_mid_round(self):
+        pnet = self._overlay()
+        victim = pnet.peers[0]
+        with pnet.event_driven() as sched:
+            sched.sim.schedule_at(0.05, victim.fail)  # after the digests depart
+            anti_entropy_round(pnet, rng=random.Random(2))
+        replies = [d for d in sched.log if d.kind == "anti-entropy" and d.time > 0.15]
+        assert replies
+        assert all(victim.node_id not in (d.src, d.dst) for d in replies)
 
     def test_split_and_migration_are_scheduled(self):
         pnet = self._overlay()

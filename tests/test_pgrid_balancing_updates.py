@@ -21,6 +21,7 @@ from repro.pgrid import (
     staleness,
     sync_pair,
 )
+from repro.pgrid.load_balancing import migrate_peer
 from repro.pgrid.network import PGridNetwork
 
 
@@ -55,6 +56,22 @@ class TestSplitGroup:
         path = pnet.peers[0].path
         split_group(pnet, path)
         assert pnet.is_complete()
+
+    def test_split_refused_while_a_member_is_offline(self):
+        pnet = build_network(16, replication=2, seed=4, split_by="population")
+        _load_words(pnet, [f"w{i:03d}" for i in range(200)])
+        path = max(pnet.peers, key=lambda p: (p.load, p.node_id)).path
+        group = sorted(pnet.leaf_groups()[path], key=lambda p: p.node_id)
+        group[1].fail()  # the '1' side's member, which the '0' side hands off to
+
+        def state():
+            return [(p.path, list(p.replicas), list(p.store)) for p in group]
+
+        before = state()
+        assert not split_group(pnet, path)
+        assert state() == before
+        group[1].recover()
+        assert split_group(pnet, path)
 
 
 class TestRebalance:
@@ -120,12 +137,29 @@ class TestReplicationHelpers:
         some_path = sorted(groups)[0]
         donor = groups[some_path][0]
         other_path = sorted(groups)[1]
-        from repro.pgrid.load_balancing import migrate_peer
-
         migrate_peer(pnet, donor, other_path)
         assert min_replication(pnet) == 1
         ensure_replication(pnet, 2)
         assert min_replication(pnet) >= 2
+
+    def test_migration_copies_from_an_online_member(self):
+        pnet = build_network(16, replication=2, seed=4)
+        _load_words(pnet, [f"w{i:03d}" for i in range(60)])
+        path = max(pnet.peers, key=lambda p: (p.load, p.node_id)).path
+        first, second = [p for p in pnet.peers if p.path == path]
+        entry = next(iter(first.store))
+        first.fail()
+        version, _trace = pnet.update(entry.key, entry.item_id, "newer", start=second)
+        donor = next(p for p in pnet.peers if p.path != path)
+        with pnet.net.frame() as frame:
+            migrate_peer(pnet, donor, path)
+        assert donor.store.get_entry(entry.key, entry.item_id).version == version
+        assert frame.messages == 1
+        second.fail()
+        donor.fail()
+        other = next(p for p in pnet.peers if p.path != path and p.online)
+        with pytest.raises(ValueError, match="online"):
+            migrate_peer(pnet, other, path)
 
     def test_online_coverage(self):
         pnet = build_network(8, replication=1, seed=15, split_by="population")

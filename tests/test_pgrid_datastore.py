@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pgrid.datastore import DataStore, Entry
+from repro.pgrid.datastore import DataStore, Entry, newest
 from repro.pgrid.keys import KeyRange
 
 KEYS = st.text(alphabet="01", min_size=1, max_size=8)
@@ -78,9 +78,30 @@ class TestPutGet:
         store = DataStore()
         store.put(_entry("00", item="keep"))
         store.put(_entry("01", item="drop"))
-        removed = store.retain(lambda e: e.item_id == "keep")
-        assert removed == 1
+        removed = store.retain("00")
+        assert _identities(removed) == [("01", "drop")]
         assert [e.item_id for e in store] == ["keep"]
+        assert _identities(store.retain("00", inside=False)) == [("00", "keep")]
+        assert len(store) == 0 and store.keys() == []
+
+    def test_merge_counts_changes(self):
+        store = DataStore()
+        twice = _entry("01", version=1)
+        assert store.merge([twice, _entry("01", "b"), twice]) == 2
+        assert store.merge([_entry("01", version=2, value="new"), _entry("01", version=0)]) == 1
+        assert store.get_entry("01", "x").value == "new"
+        assert [e.item_id for e in store] == ["x", "b"]
+
+    def test_copy_from(self):
+        source, store = _store_of(["1", "0", "01"]), _store_of(["11"])
+        assert store.copy_from(source) == 3
+        assert list(store) == list(source)
+        source.put(_entry("111"))
+        assert len(store) == 3  # an independent copy
+
+    def test_newest_keeps_first_seen_order(self):
+        old, new, other = _entry("1", "a", version=1), _entry("1", "a", "n", 2), _entry("0", "b")
+        assert newest([[old, other], [new, old]]) == [new, other]
 
     def test_iteration_sorted_by_key(self):
         store = DataStore()
@@ -108,7 +129,9 @@ class TestRevision:
         assert store.put(_entry("01", "b")) and changed()  # new item under a key
         assert store.put(_entry("01", "a", version=1)) and changed()  # newer version
         assert store.delete("01", "b") and changed()
-        assert store.retain(lambda e: e.key != "01") == 1 and changed()
+        assert len(store.retain("01", inside=False)) == 1 and changed()
+        assert store.merge([_entry("01", "a", version=2), _entry("11")]) == 2 and changed()
+        assert store.copy_from(_store_of(["0"])) == 1 and changed()
         store.put(_entry("10"))
         changed()
         store.clear()
@@ -122,7 +145,9 @@ class TestRevision:
         assert not store.put(_entry("01", "a", version=1))  # older version
         assert not store.delete("01", "missing")
         assert not store.delete("11", "a")
-        assert store.retain(lambda e: True) == 0
+        assert store.retain("") == []
+        assert store.retain("1", inside=False) == []
+        assert store.merge([_entry("01", "a", version=1)]) == 0
         assert store.revision == before
 
 
@@ -197,3 +222,14 @@ class TestAgainstFractionOracle:
         keep, give = store.partition(prefix)
         assert _identities(keep) == _identities(inside)
         assert _identities(give) == _identities(outside)
+
+    @given(st.lists(ANY_KEYS, max_size=30), ANY_KEYS, st.booleans())
+    @settings(max_examples=200)
+    def test_retain_membership_and_order(self, keys, prefix, inside):
+        store = _store_of(keys)
+        keep, give = store.partition(prefix)
+        if not inside:
+            keep, give = give, keep
+        assert _identities(store.retain(prefix, inside)) == _identities(give)
+        assert _identities(store) == _identities(keep)
+        assert store.keys() == sorted({e.key for e in keep})
