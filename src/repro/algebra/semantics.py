@@ -61,6 +61,14 @@ def join_key(binding: Binding, variables: Iterable[str]) -> tuple:
     return tuple(binding.get(name) for name in variables)
 
 
+def bound_variables(rows: Iterable[Binding]) -> set[str]:
+    """Every variable bound in at least one of ``rows``."""
+    names: set[str] = set()
+    for row in rows:
+        names.update(row)
+    return names
+
+
 # ---------------------------------------------------------------------------
 # Ordering
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ logical planning/rewriting, cost-based physical planning, and three execution
 modes:
 
 * ``optimized``  — coordinator-driven execution of the cheapest physical plan;
-* ``mqp``        — mutant-query-plan execution with per-peer re-optimization;
+* ``mqp``        — the same physical plan with every join group run as a
+  mutant query plan, re-optimized at each peer it visits;
 * ``reference``  — centralized ground-truth evaluation (testing/debugging).
 
 Schema mappings are ordinary metadata triples; with ``expand_mappings=True``
@@ -19,18 +20,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from repro.errors import PlanningError
 from repro.net.latency import LatencyModel
 from repro.net.trace import Trace
-from repro.algebra.operators import Join, LogicalPlan, PatternScan, Selection
 from repro.algebra.plan_builder import build_plan
 from repro.algebra.reference import execute_reference
 from repro.algebra.rewrite import rewrite
-from repro.algebra.semantics import Binding, order_sort_key, skyline_of
 from repro.core.logging import QueryLog
 from repro.core.results import QueryResult
-from repro.mqp.executor import execute_mutant_plan
-from repro.optimizer.cost_model import CostModel
 from repro.optimizer.planner import Planner, PlannerConfig
 from repro.optimizer.statistics import CatalogStatistics
 from repro.pgrid.construction import build_network
@@ -275,15 +271,23 @@ class UniStore:
             ),
         )
 
+        logical = rewrite(build_plan(query))
         if mode == "reference":
-            result = self._execute_reference(query)
-        elif mode == "mqp":
-            result = self._execute_mqp(query, ctx, config)
-        elif mode == "optimized":
-            result = self._execute_optimized(query, ctx, config)
+            rows = execute_reference(logical, self._all_triples())
+            result = QueryResult(rows, plan=logical.explain())
+        elif mode in ("optimized", "mqp"):
+            physical = self._planner(config, mutant=mode == "mqp").plan(logical)
+            op_result = physical.execute(ctx)
+            result = QueryResult(
+                op_result.all_bindings(),
+                trace=op_result.trace,
+                plan=physical.explain(),
+                complete=op_result.complete,
+            )
         else:
             raise ValueError(f"unknown execution mode {mode!r}")
 
+        result.variables = tuple(v.name for v in query.select)
         result.trace = expansion_trace.then(result.trace)
         result.mode = mode
         self.log.record(
@@ -302,121 +306,17 @@ class UniStore:
         """Logical and physical plan text without executing."""
         query = parse(vql_text)
         logical = rewrite(build_plan(query))
-        planner = self._planner(config)
-        physical = planner.plan(logical)
+        physical = self._planner(config).plan(logical)
         return f"-- logical --\n{logical.explain()}\n-- physical --\n{physical.explain()}"
 
-    # -- execution modes -------------------------------------------------------------------
-
-    def _planner(self, config: PlannerConfig | None) -> Planner:
+    def _planner(self, config: PlannerConfig | None, mutant: bool = False) -> Planner:
         return Planner(
             self.statistics,
             config or PlannerConfig(),
             qgram_available=self.store.enable_qgram_index,
             qgram_q=self.store.qgram_q,
+            mutant=mutant,
         )
-
-    def _execute_optimized(
-        self, query: Query, ctx: ExecutionContext, config: PlannerConfig | None
-    ) -> QueryResult:
-        logical = rewrite(build_plan(query))
-        planner = self._planner(config)
-        physical = planner.plan(logical)
-        op_result = physical.execute(ctx)
-        return QueryResult(
-            rows=op_result.all_bindings(),
-            variables=tuple(v.name for v in query.select),
-            trace=op_result.trace,
-            plan=physical.explain(),
-            complete=op_result.complete,
-        )
-
-    def _execute_reference(self, query: Query) -> QueryResult:
-        logical = rewrite(build_plan(query))
-        triples = self._all_triples()
-        rows = execute_reference(logical, triples)
-        return QueryResult(
-            rows=rows,
-            variables=tuple(v.name for v in query.select),
-            trace=Trace.ZERO,
-            plan=logical.explain(),
-            complete=True,
-        )
-
-    def _execute_mqp(
-        self, query: Query, ctx: ExecutionContext, config: PlannerConfig | None
-    ) -> QueryResult:
-        model = CostModel(self.statistics)
-        rows: list[Binding] = []
-        traces: list[Trace] = []
-        steps: list[str] = []
-        complete = True
-        for group in query.groups:
-            scans, residual = self._group_to_scans(group)
-            result = execute_mutant_plan(ctx, scans, residual, model)
-            rows.extend(result.bindings)
-            traces.append(result.trace)
-            steps.extend(result.steps)
-            complete = complete and result.complete
-        rows = self._apply_modifiers(rows, query)
-        return QueryResult(
-            rows=rows,
-            variables=tuple(v.name for v in query.select),
-            trace=Trace.parallel(traces) if traces else Trace.ZERO,
-            plan="\n".join(f"mqp: {step}" for step in steps),
-            complete=complete,
-        )
-
-    def _group_to_scans(self, group: GroupPattern) -> tuple[list[PatternScan], list]:
-        """Rewrite one group and flatten it into scans + residual filters."""
-        if group.optionals:
-            raise PlanningError("OPTIONAL is not supported in MQP mode")
-        logical = rewrite(
-            build_plan(
-                Query(select=(), groups=(GroupPattern(group.patterns, group.filters),))
-            )
-        )
-        scans: list[PatternScan] = []
-        residual = []
-
-        def collect(node: LogicalPlan) -> None:
-            if isinstance(node, PatternScan):
-                scans.append(node)
-            elif isinstance(node, Selection):
-                residual.append(node.predicate)
-                collect(node.child)
-            elif isinstance(node, Join):
-                collect(node.left)
-                collect(node.right)
-            else:
-                for child in node.children():
-                    collect(child)
-
-        collect(logical)
-        return scans, residual
-
-    def _apply_modifiers(self, rows: list[Binding], query: Query) -> list[Binding]:
-        """Skyline / order / limit / projection at the coordinator (MQP mode)."""
-        if query.skyline:
-            rows = skyline_of(rows, query.skyline)
-        if query.order_by:
-            rows = sorted(rows, key=order_sort_key(query.order_by))
-        if query.limit is not None or query.offset:
-            end = None if query.limit is None else query.offset + query.limit
-            rows = rows[query.offset : end]
-        if query.select:
-            names = [v.name for v in query.select]
-            rows = [{name: row.get(name) for name in names} for row in rows]
-        if query.distinct:
-            seen = set()
-            unique = []
-            for row in rows:
-                key = tuple(sorted(row.items(), key=lambda kv: kv[0]))
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            rows = unique
-        return rows
 
     # -- mapping expansion ----------------------------------------------------------------
 

@@ -21,22 +21,28 @@ Under event-driven execution (:meth:`PGridNetwork.event_driven`) each stop's
 index probes fan out as interleaved events — the per-value lookups of one
 probe step overlap in simulated time — while successive stops remain
 sequential on the clock, exactly the mutant plan's migration semantics.
+
+In ``mode="mqp"`` the planner plans the query as in ``optimized`` mode and
+puts a :class:`MutantPlanOp` in place of every maximal join group, so the
+operators above it (union, optional, similarity joins, ranking, projection)
+are the same physical operators in both modes.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace as dataclass_replace
 
 from repro.errors import ExecutionError
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
 from repro.algebra.operators import PatternScan
-from repro.algebra.semantics import Binding, compatible, join_key, merge_bindings
+from repro.algebra.semantics import Binding, bound_variables, compatible, join_key, merge_bindings
 from repro.mqp.plan import MutantQueryPlan
 from repro.optimizer.adaptive import Step, choose_next_step
 from repro.optimizer.cost_model import CostModel
-from repro.physical.base import ExecutionContext, probe_join
+from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, probe_join
 from repro.vql.ast import Expression, expression_variables
 
 
@@ -50,17 +56,54 @@ class MQPResult:
     complete: bool = True
 
 
+@dataclass
+class MutantPlanOp(PhysicalOperator):
+    """One maximal join group run as a mutant query plan.
+
+    ``scans`` pairs every pattern scan of the group with the access operator
+    the query's planner chose for it; ``model`` is that planner's cost model.
+    The rows end at the coordinator.  After a run its EXPLAIN lines list
+    the executed steps.
+    """
+
+    scans: tuple[tuple[PatternScan, PhysicalOperator], ...]
+    residual_filters: tuple[Expression, ...]
+    model: CostModel
+    steps: list[str] = field(default_factory=list)
+
+    strategy = "mqp"
+
+    def execute(self, ctx: ExecutionContext) -> OpResult:
+        result = execute_mutant_plan(ctx, self.scans, self.residual_filters, self.model)
+        self.steps = result.steps
+        rows = result.bindings
+        return OpResult(
+            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
+            trace=result.trace,
+            complete=result.complete,
+        )
+
+    def explain(self, indent: int = 0) -> str:
+        pad = "  " * indent
+        return "\n".join([pad + self._label(), *(f"{pad}  mqp: {step}" for step in self.steps)])
+
+
 def execute_mutant_plan(
     ctx: ExecutionContext,
-    scans: list[PatternScan],
-    residual_filters: list[Expression],
+    scans: Sequence[tuple[PatternScan, PhysicalOperator]],
+    residual_filters: Sequence[Expression],
     model: CostModel,
 ) -> MQPResult:
-    """Run one group's join tree in mutant-query-plan mode."""
+    """Run one group's join tree in mutant-query-plan mode.
+
+    ``scans`` holds ``(scan, access operator)`` pairs: a scan step runs the
+    operator the planner chose for that scan.
+    """
     if not scans:
         raise ExecutionError("mutant plan needs at least one pattern scan")
+    access = dict(scans)
     plan = MutantQueryPlan(
-        pending=list(scans),
+        pending=[scan for scan, _op in scans],
         residual_filters=list(residual_filters),
         bindings=None,
         location=ctx.coordinator.node_id,
@@ -75,7 +118,7 @@ def execute_mutant_plan(
         if step.method.startswith("probe") and plan.bindings is not None:
             step_trace = _probe(ctx, plan, step)
         else:
-            step_trace, step_complete = _scan_and_migrate(ctx, plan, step, model)
+            step_trace, step_complete = _scan_and_migrate(ctx, plan, access[step.scan])
             complete = complete and step_complete
         trace = trace.then(step_trace)
         plan.bindings = _apply_ready_filters(plan)
@@ -116,21 +159,12 @@ def _probe(ctx: ExecutionContext, plan: MutantQueryPlan, step: Step) -> Trace:
 
 
 def _scan_and_migrate(
-    ctx: ExecutionContext, plan: MutantQueryPlan, step: Step, model: CostModel
+    ctx: ExecutionContext, plan: MutantQueryPlan, access: PhysicalOperator
 ) -> tuple[Trace, bool]:
-    """Evaluate the pattern in its region and move the plan there."""
+    """Run the scan's access operator from the plan's holder and move the
+    plan into the region it read."""
     holder = ctx.pnet.net.nodes[plan.location]
-    sub_ctx = dataclass_replace(ctx, coordinator=holder)
-    from repro.optimizer.planner import Planner, PlannerConfig
-
-    planner = Planner(
-        model.stats,
-        PlannerConfig(),
-        qgram_available=ctx.store.enable_qgram_index,
-        qgram_q=ctx.store.qgram_q,
-    )
-    planned = planner.plan_scan(step.scan)
-    result = planned.op.execute(sub_ctx)
+    result = access.execute(dataclass_replace(ctx, coordinator=holder))
 
     # The plan migrates to the peer holding the largest share of the scan's
     # result; everything else converges there too.
@@ -145,17 +179,13 @@ def _scan_and_migrate(
         trace = trace.then(
             ctx.pnet.ship(plan.location, target_id, "mqp-migrate", size=max(1, carried))
         )
-        plan.hops_travelled += 1
     plan.location = target_id
 
     new_rows = moved.all_bindings()
     if plan.bindings is None:
         plan.bindings = new_rows
     else:
-        shared = sorted(
-            set().union(*(set(b) for b in plan.bindings))
-            & set().union(*(set(b) for b in new_rows))
-        ) if plan.bindings and new_rows else []
+        shared = sorted(bound_variables(plan.bindings) & bound_variables(new_rows))
         plan.bindings = _local_join(plan.bindings, new_rows, shared)
     return trace, result.complete
 
@@ -164,9 +194,7 @@ def _apply_ready_filters(plan: MutantQueryPlan) -> list[Binding] | None:
     """Evaluate residual filters whose variables are all bound; keep the rest."""
     if plan.bindings is None:
         return None
-    bound: set[str] = set()
-    for row in plan.bindings:
-        bound |= set(row)
+    bound = bound_variables(plan.bindings)
     ready = [f for f in plan.residual_filters if expression_variables(f) <= bound]
     if not ready:
         return plan.bindings

@@ -28,7 +28,6 @@ class MutantQueryPlan:
     residual_filters: list[Expression] = field(default_factory=list)
     bindings: list[Binding] | None = None  # None = no pattern evaluated yet
     location: str = ""  # peer id currently holding the plan
-    hops_travelled: int = 0
 
     def is_done(self) -> bool:
         return not self.pending

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algebra.operators import PatternScan
-from repro.algebra.semantics import Binding
+from repro.algebra.semantics import Binding, bound_variables
 from repro.optimizer.cost_model import CostModel
 from repro.triples.index import probe_index, probe_variable
 from repro.vql.ast import Literal
@@ -39,14 +39,10 @@ def choose_next_step(
     model: CostModel,
 ) -> Step:
     """Pick the cheapest next evaluation step given the *actual* state."""
-    bound_variables: set[str] = set()
-    if bindings:
-        for row in bindings:
-            bound_variables |= set(row)
-
+    bound = bound_variables(bindings or ())
     best: Step | None = None
     for scan in pending:
-        step = _cost_step(scan, bindings, bound_variables, model)
+        step = _cost_step(scan, bindings, bound, model)
         if best is None or step.estimated_cost < best.estimated_cost:
             best = step
     assert best is not None  # pending is never empty when called
@@ -56,7 +52,7 @@ def choose_next_step(
 def _cost_step(
     scan: PatternScan,
     bindings: list[Binding] | None,
-    bound_variables: set[str],
+    bound: set[str],
     model: CostModel,
 ) -> Step:
     pattern = scan.pattern
@@ -64,7 +60,7 @@ def _cost_step(
 
     # Probing is possible when a bound variable sits in the subject or the
     # object; the index it probes names the step.
-    variable = probe_variable(pattern, bound_variables) if bindings is not None else None
+    variable = probe_variable(pattern, bound) if bindings is not None else None
     if variable is not None:
         cost = model.parallel_lookups(len({row[variable] for row in bindings if variable in row}))
         method = "probe-" + probe_index(pattern, variable).value  # type: ignore[union-attr]

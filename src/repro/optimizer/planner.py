@@ -5,11 +5,15 @@ physical strategy per node, costing each with the :class:`CostModel`, and
 keeping the cheapest — unless a :class:`PlannerConfig` override forces a
 specific strategy (that is how the E4 benchmark compares strategies and how
 "influencing the integrated optimizer" from the demo script is realized).
+
+A planner built with ``mutant=True`` (``mode="mqp"``) plans the same tree
+but puts a :class:`~repro.mqp.executor.MutantPlanOp` in place of every
+maximal join group, so every other operator serves both modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import PlanningError
 from repro.algebra.expressions import (
@@ -34,6 +38,7 @@ from repro.algebra.operators import (
     TopN,
     Union,
 )
+from repro.mqp.executor import MutantPlanOp
 from repro.optimizer.cost_model import Cost, CostModel
 from repro.optimizer.statistics import CatalogStatistics
 from repro.physical import (
@@ -73,7 +78,7 @@ from repro.triples.index import (
     v_string_prefix_range,
     v_value_range,
 )
-from repro.vql.ast import Literal, TriplePattern, Var
+from repro.vql.ast import Expression, Literal, TriplePattern, Var
 
 
 @dataclass
@@ -107,6 +112,7 @@ class Planner:
         config: PlannerConfig | None = None,
         qgram_available: bool = False,
         qgram_q: int = 3,
+        mutant: bool = False,
     ):
         self.stats = stats
         self.config = config or PlannerConfig()
@@ -117,6 +123,13 @@ class Planner:
         )
         self.qgram_available = qgram_available
         self.qgram_q = qgram_q
+        # Mutant planning estimates each join group as its optimized plan; a
+        # mutant plan picks its own joins, so a forced join strategy is moot.
+        self._optimized = (
+            Planner(stats, replace(self.config, join_strategy=None), qgram_available, qgram_q)
+            if mutant
+            else None
+        )
 
     # -- entry point ------------------------------------------------------------
 
@@ -131,16 +144,17 @@ class Planner:
 
     def plan_scan(self, scan: PatternScan) -> Planned:
         """Plan a single pattern scan — the physical access path plus its
-        estimates, without a collector root.
-
-        Public entry point for callers that execute scans piecemeal (the
-        mutant-query-plan executor re-plans one pending scan per stop).
-        """
+        estimates, without a collector root (a mutant plan's scan steps run
+        these access paths)."""
         return self._plan_scan(scan)
 
     # -- dispatch ------------------------------------------------------------------
 
     def _plan(self, node: LogicalPlan) -> Planned:
+        if self._optimized is not None:
+            group = join_group(node)
+            if group is not None:
+                return self._plan_mutant(self._optimized._plan(node), *group)
         if isinstance(node, PatternScan):
             return self._plan_scan(node)
         if isinstance(node, Selection):
@@ -234,6 +248,16 @@ class Planner:
                 rows=max(1.0, child.rows**0.5),
             )
         raise PlanningError(f"no physical strategy for {type(node).__name__}")
+
+    def _plan_mutant(
+        self, estimate: Planned, scans: list[PatternScan], residual: list[Expression]
+    ) -> Planned:
+        """A join group as one mutant query plan, whose rows end at the
+        coordinator, with the ``estimate`` of its optimized plan."""
+        access = tuple((scan, self.plan_scan(scan).op) for scan in scans)
+        return Planned(
+            MutantPlanOp(access, tuple(residual), self.model), estimate.cost, estimate.rows
+        )
 
     # -- scans ------------------------------------------------------------------------
 
@@ -541,34 +565,45 @@ class Planner:
 # ---------------------------------------------------------------------------
 
 
-def _collect_star(node: LogicalPlan) -> tuple[str, list[TriplePattern], list] | None:
-    """Detect a join subtree whose leaves all share one subject variable.
+def join_group(node: LogicalPlan) -> tuple[list[PatternScan], list[Expression]] | None:
+    """The scans and residual predicates of a join group, in pre-order.
 
-    Returns ``(subject_var, patterns, filters)`` when the whole subtree is a
-    star over a single subject with at least two patterns; pushed-down and
-    residual predicates become the star's filters.  Otherwise None.
+    A join group is a subtree of only PatternScan, Selection and Join
+    nodes; any other node makes this None.
     """
-    patterns: list[TriplePattern] = []
-    filters: list = []
+    scans: list[PatternScan] = []
+    residual: list[Expression] = []
 
     def walk(current: LogicalPlan) -> bool:
         if isinstance(current, PatternScan):
-            patterns.append(current.pattern)
-            filters.extend(current.filters)
+            scans.append(current)
             return True
         if isinstance(current, Selection):
-            filters.append(current.predicate)
+            residual.append(current.predicate)
             return walk(current.child)
         if isinstance(current, Join):
             return walk(current.left) and walk(current.right)
         return False
 
-    if not walk(node) or len(patterns) < 2:
+    return (scans, residual) if walk(node) else None
+
+
+def _collect_star(node: LogicalPlan) -> tuple[str, list[TriplePattern], list] | None:
+    """Detect a join group whose leaves all share one subject variable.
+
+    Returns ``(subject_var, patterns, filters)`` when the whole subtree is a
+    star over a single subject with at least two patterns; residual and
+    pushed-down predicates become the star's filters.  Otherwise None.
+    """
+    group = join_group(node)
+    if group is None or len(group[0]) < 2:
         return None
+    scans, residual = group
+    patterns = [scan.pattern for scan in scans]
     subjects = {p.subject.name if isinstance(p.subject, Var) else None for p in patterns}
     if len(subjects) != 1 or None in subjects:
         return None
-    return subjects.pop(), patterns, filters
+    return subjects.pop(), patterns, residual + [f for scan in scans for f in scan.filters]
 
 
 def _as_pattern_scan(node: LogicalPlan) -> PatternScan | None:

@@ -37,8 +37,8 @@ def join_peer(
     Every message is charged in ``pnet``'s active execution model.
     """
     rng = rng or pnet.rng
+    contact = pnet.random_online_peer(rng)  # drawn before the newcomer is online
     newcomer = pnet.add_peer(node_id, path="")
-    contact = pnet.random_online_peer(rng)
     target_key = "".join(rng.choice("01") for _ in range(24))
     hop = pnet.ship(newcomer.node_id, contact.node_id, "join", size=1)
     host, trace = route(contact, target_key, kind="join", rng=rng, runner=pnet)

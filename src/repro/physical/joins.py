@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.errors import PlanningError, RoutingError
 from repro.net.scheduler import ChainSpec, PartialChain, then_send
 from repro.net.trace import Trace
-from repro.algebra.semantics import Binding, compatible, join_key, merge_bindings
+from repro.algebra.semantics import Binding, bound_variables, compatible, join_key, merge_bindings
 from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, probe_join
 from repro.pgrid.routing import point_key, route_hops
 from repro.triples.index import probe_variable, v_key
@@ -48,9 +48,7 @@ class _JoinBase(PhysicalOperator):
 
     @staticmethod
     def _shared_variables(left_rows: list[Binding], right_rows: list[Binding]) -> list[str]:
-        left_vars = set().union(*(set(b) for b in left_rows)) if left_rows else set()
-        right_vars = set().union(*(set(b) for b in right_rows)) if right_rows else set()
-        return sorted(left_vars & right_vars)
+        return sorted(bound_variables(left_rows) & bound_variables(right_rows))
 
 
 @dataclass
@@ -102,8 +100,7 @@ class IndexNestedLoopJoin(_JoinBase):
             # An empty outer side joins to nothing; there is no position to
             # probe (and no need to).
             return OpResult([], left_result.trace, left_result.complete)
-        left_vars = set().union(*(set(b) for b in left_rows))
-        variable = probe_variable(self.right_pattern, left_vars)
+        variable = probe_variable(self.right_pattern, bound_variables(left_rows))
         if variable is None:
             raise PlanningError(
                 "IndexNestedLoopJoin: shared variable must be the right pattern's "

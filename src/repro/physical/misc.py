@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
-from repro.algebra.semantics import Binding, join_key, merge_bindings, order_sort_key
+from repro.algebra.semantics import (
+    Binding,
+    bound_variables,
+    join_key,
+    merge_bindings,
+    order_sort_key,
+)
 from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator
 from repro.vql.ast import Expression, OrderItem, Var
 
@@ -174,13 +180,7 @@ class IntersectionOp(PhysicalOperator):
         complete = all(h.complete for h in homes)
         if not homes or any(not h.all_bindings() for h in homes):
             return OpResult(groups=[], trace=trace, complete=complete)
-        variable_sets = []
-        for home in homes:
-            names: set[str] = set()
-            for row in home.all_bindings():
-                names |= set(row)
-            variable_sets.append(names)
-        shared = sorted(set.intersection(*variable_sets))
+        shared = sorted(set.intersection(*(bound_variables(h.all_bindings()) for h in homes)))
         key_sets = []
         rows_by_key: dict[tuple, Binding] = {}
         for home in homes:
@@ -215,9 +215,7 @@ class DifferenceOp(PhysicalOperator):
         right_home = self.right.execute(ctx).at_coordinator(ctx, kind="setop-ship")
         left_rows = left_home.all_bindings()
         right_rows = right_home.all_bindings()
-        left_vars = set().union(*(set(b) for b in left_rows)) if left_rows else set()
-        right_vars = set().union(*(set(b) for b in right_rows)) if right_rows else set()
-        shared = sorted(left_vars & right_vars)
+        shared = sorted(bound_variables(left_rows) & bound_variables(right_rows))
         right_keys = {join_key(row, shared) for row in right_rows}
         rows = [row for row in left_rows if join_key(row, shared) not in right_keys]
         return OpResult(
@@ -244,9 +242,7 @@ class LeftJoinOp(PhysicalOperator):
         right_home = self.right.execute(ctx).at_coordinator(ctx, kind="join-ship")
         left_rows = left_home.all_bindings()
         right_rows = right_home.all_bindings()
-        left_vars = set().union(*(set(b) for b in left_rows)) if left_rows else set()
-        right_vars = set().union(*(set(b) for b in right_rows)) if right_rows else set()
-        shared = sorted(left_vars & right_vars)
+        shared = sorted(bound_variables(left_rows) & bound_variables(right_rows))
         from collections import defaultdict
 
         table = defaultdict(list)

@@ -8,7 +8,7 @@ from repro.algebra import build_plan, execute_reference, rewrite
 from repro.algebra.operators import PatternScan
 from repro.bench import ConferenceWorkload
 from repro.mqp import execute_mutant_plan
-from repro.optimizer import CatalogStatistics, CostModel, choose_next_step
+from repro.optimizer import CatalogStatistics, CostModel, Planner, choose_next_step
 from repro.pgrid import build_network
 from repro.physical.base import ExecutionContext
 from repro.triples import DistributedTripleStore
@@ -26,6 +26,12 @@ def env():
     ctx = ExecutionContext(store, pnet.peers[0], random.Random(88))
     stats = CatalogStatistics.from_store(store)
     return ctx, triples, CostModel(stats)
+
+
+def _with_access(scans, model):
+    """Pair each scan with the access operator a planner chooses for it."""
+    planner = Planner(model.stats, qgram_available=True)
+    return [(scan, planner.plan_scan(scan).op) for scan in scans]
 
 
 def _canonical(rows):
@@ -73,7 +79,7 @@ class TestMQPExecution:
         from repro.algebra.operators import Selection
 
         residual = [n.predicate for n in logical.walk() if isinstance(n, Selection)]
-        result = execute_mutant_plan(ctx, scans, residual, model)
+        result = execute_mutant_plan(ctx, _with_access(scans, model), residual, model)
         expected = execute_reference(logical, triples)
         return result, expected
 
@@ -110,7 +116,7 @@ class TestMQPExecution:
             PatternScan(TriplePattern(Var("a"), Literal("age"), Literal(-1))),
             PatternScan(TriplePattern(Var("a"), Literal("name"), Var("n"))),
         ]
-        result = execute_mutant_plan(ctx, scans, [], model)
+        result = execute_mutant_plan(ctx, _with_access(scans, model), [], model)
         assert result.bindings == []
         assert len(result.steps) == 1  # stopped after the empty scan
 
@@ -192,3 +198,80 @@ class TestQGramSize:
         got = store.execute(self.QUERY, mode="mqp").rows
         assert sorted(row["c"] for row in expected) == ["berlin", "bernin", "merlin"]
         assert _canonical(got) == _canonical(expected)
+
+
+class TestMutantPlanOperator:
+    """MQP mode plans the query like optimized mode; only the join groups
+    run as mutant plans."""
+
+    QUERY = "SELECT ?n,?c WHERE {(?a,'name',?n) (?b,'city',?c) FILTER edist(?n,?c) < 2}"
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        from repro import UniStore
+
+        store = UniStore.build(16, replication=2, seed=1)
+        store.insert_tuples(
+            [
+                {"name": "alice"},
+                {"name": "alicia"},
+                {"name": "bob"},
+                {"city": "alice"},
+                {"city": "zurich"},
+            ]
+        )
+        return store
+
+    @pytest.mark.parametrize("mode", ["reference", "optimized", "mqp"])
+    def test_similarity_join_keeps_its_predicate(self, store, mode):
+        # Without the edist predicate this is a 3 x 2 cross product.
+        rows = store.execute(self.QUERY, mode=mode).rows
+        assert rows == [{"n": "alice", "c": "alice"}]
+
+    def test_optional_runs_in_mqp_mode(self, store):
+        vql = "SELECT ?n,?c WHERE {(?a,'name',?n) OPTIONAL {(?a,'city',?c)}}"
+        expected = store.execute(vql, mode="reference").rows
+        assert _canonical(store.execute(vql, mode="mqp").rows) == _canonical(expected)
+
+    def test_forced_join_strategy_does_not_apply(self, store):
+        from repro.optimizer import PlannerConfig
+
+        vql = "SELECT ?n,?c WHERE {(?a,'name',?n) (?b,'city',?c)}"
+        expected = _canonical(store.execute(vql, mode="reference").rows)
+        for strategy in ("index-nl", "rehash"):
+            config = PlannerConfig(join_strategy=strategy)
+            assert _canonical(store.execute(vql, mode="mqp", config=config).rows) == expected
+
+    def test_top_n_runs_over_the_mutant_plan(self, store):
+        result = store.execute("SELECT ?n WHERE {(?a,'name',?n)} ORDER BY ?n LIMIT 2", mode="mqp")
+        assert [row["n"] for row in result.rows] == ["alice", "alicia"]
+        lines = result.plan.splitlines()
+        top_n = next(i for i, line in enumerate(lines) if "TopNOp" in line)
+        assert lines[top_n + 1].strip() == "MutantPlanOp[mqp]"
+        assert lines[top_n + 2].strip().startswith("mqp: scan (?a,'name',?n)")
+
+    def test_scans_run_the_access_path_the_config_chooses(self):
+        from repro.mqp.executor import MutantPlanOp
+        from repro.optimizer import PlannerConfig
+        from repro.physical import IndexRange, QGramScan
+
+        pnet = build_network(8, replication=1, seed=5, split_by="population")
+        store = DistributedTripleStore(pnet, enable_qgram_index=True)
+        stats = CatalogStatistics.from_store(store)
+        logical = rewrite(
+            build_plan(parse("SELECT ?c WHERE {(?o,'city',?c) FILTER edist(?c,'berlin')<2}"))
+        )
+        for use_qgram, access in ((None, QGramScan), (False, IndexRange)):
+            planner = Planner(
+                stats, PlannerConfig(use_qgram=use_qgram), qgram_available=True, mutant=True
+            )
+            plan = planner.plan(logical)
+            [mutant] = [op for op in _operators(plan) if isinstance(op, MutantPlanOp)]
+            [(_scan, op)] = mutant.scans
+            assert isinstance(op, access)
+
+
+def _operators(op):
+    yield op
+    for child in op.children():
+        yield from _operators(child)

@@ -1,6 +1,8 @@
 """Load balancing (ref. [2]) and loosely-consistent updates (ref. [4])."""
 
 
+import random
+
 import pytest
 
 from repro.bench import skewed_strings
@@ -234,6 +236,16 @@ class TestJoinAndMerge:
         host_group = [p for p in pnet.peers if p.path == newcomer.path and p is not newcomer]
         assert host_group
         assert newcomer.load == host_group[0].load
+        assert trace.messages > 0
+
+    def test_newcomer_is_never_its_own_bootstrap_contact(self):
+        # With the newcomer online before the draw, this seed picked it as
+        # its own contact: it stayed at path '' with a 0-message trace.
+        pnet = build_network(3, replication=1, seed=0, split_by="population")
+        newcomer, trace = join_peer(pnet, "newcomer-3", rng=random.Random(0))
+        assert newcomer.path != ""
+        assert pnet.trie_paths() == ["00", "01", "1"]
+        assert pnet.is_complete()
         assert trace.messages > 0
 
     def test_merge_overlays_unions_data(self):

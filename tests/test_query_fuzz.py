@@ -1,10 +1,11 @@
 """Property-based query fuzzing: the distributed engine must agree with the
-centralized reference executor on *arbitrary* conjunctive queries.
+centralized reference executor on *arbitrary* queries.
 
 Hypothesis generates random basic graph patterns (with literal/variable mixes
-in every position), random comparison/similarity filters and random modifier
-stacks; each generated query runs in both engines over a fixed loaded
-overlay.  Any divergence is a real bug in scans, joins, planning or ranking.
+in every position), random comparison/similarity filters, two-variable
+similarity joins, OPTIONAL groups and UNIONs; each generated query runs in
+the distributed modes and the reference engine over a fixed loaded overlay.
+Any divergence is a real bug in scans, joins, planning or ranking.
 """
 
 from __future__ import annotations
@@ -57,54 +58,88 @@ def _term(draw, kind: str) -> str:
     raise AssertionError(kind)
 
 
-@st.composite
-def queries(draw):
-    num_patterns = draw(st.integers(1, 3))
-    used_vars: list[str] = []
+def _patterns(draw, used_vars: list[str], subject: str | None = None) -> list[str]:
+    """1-3 random patterns; variables they bind are appended to ``used_vars``.
+
+    Later patterns (all of them, when ``subject`` is given) lean towards one
+    subject variable so groups are mostly connected.
+    """
     patterns = []
-    for index in range(num_patterns):
+    for index in range(draw(st.integers(1, 3))):
         subject_kind = draw(st.sampled_from(["var", "var", "var", "oid"]))
         predicate_kind = draw(st.sampled_from(["attr", "attr", "attr", "var"]))
         object_kind = draw(st.sampled_from(["var", "var", "str", "num"]))
-        # Bias towards connected queries: reuse the first subject variable.
-        if index > 0 and subject_kind == "var" and used_vars:
-            subject = "?" + used_vars[0]
+        anchor = subject or (used_vars[0] if index > 0 and used_vars else None)
+        if subject_kind == "var" and anchor is not None:
+            subject_term = "?" + anchor
         else:
-            subject = _term(draw, subject_kind)
-        if subject.startswith("?"):
-            used_vars.append(subject[1:])
+            subject_term = _term(draw, subject_kind)
+        if subject_term.startswith("?"):
+            used_vars.append(subject_term[1:])
         predicate = _term(draw, predicate_kind)
         object_ = _term(draw, object_kind)
         if object_.startswith("?"):
             used_vars.append(object_[1:])
-        patterns.append(f"({subject},{predicate},{object_})")
+        patterns.append(f"({subject_term},{predicate},{object_})")
+    return patterns
 
-    filters = []
+
+def _filters(draw, used_vars: list[str]) -> list[str]:
+    """At most one random one-variable filter over ``used_vars``."""
+    if not used_vars or not draw(st.booleans()):
+        return []
+    variable = draw(st.sampled_from(used_vars))
+    choice = draw(st.integers(0, 3))
+    if choice == 0 and NUMBER_VALUES:
+        op = draw(st.sampled_from([">=", "<", ">", "<=", "!="]))
+        bound = draw(st.sampled_from(NUMBER_VALUES))
+        return [f"FILTER ?{variable} {op} {bound}"]
+    if choice == 1 and STRING_VALUES:
+        probe = draw(st.sampled_from(STRING_VALUES))[:6].replace("'", "")
+        return [f"FILTER prefix(?{variable}, '{probe}')"]
+    if choice == 2 and STRING_VALUES:
+        probe = draw(st.sampled_from(STRING_VALUES)).replace("'", "")
+        k = draw(st.integers(1, 2))
+        return [f"FILTER edist(?{variable}, '{probe}') <= {k}"]
+    needle = draw(st.sampled_from(STRING_VALUES))[1:4].replace("'", "")
+    return [f"FILTER contains(?{variable}, '{needle}')"] if needle else []
+
+
+@st.composite
+def queries(draw):
+    """A random query: one group, optionally with a two-variable similarity
+    filter and an OPTIONAL group, optionally UNION a second group."""
+    used_vars: list[str] = []
+    patterns = _patterns(draw, used_vars)
+    filters = _filters(draw, used_vars)
     if used_vars and draw(st.booleans()):
+        # A pattern over fresh variables plus edist(?x, ?v): a similarity
+        # join when the two variables end up on opposite sides of a join.
+        # The filter goes first so it sits directly above the join tree.
+        attribute = _term(draw, "attr")
         variable = draw(st.sampled_from(used_vars))
-        choice = draw(st.integers(0, 3))
-        if choice == 0 and NUMBER_VALUES:
-            op = draw(st.sampled_from([">=", "<", ">", "<=", "!="]))
-            bound = draw(st.sampled_from(NUMBER_VALUES))
-            filters.append(f"FILTER ?{variable} {op} {bound}")
-        elif choice == 1 and STRING_VALUES:
-            probe = draw(st.sampled_from(STRING_VALUES))[:6].replace("'", "")
-            filters.append(f"FILTER prefix(?{variable}, '{probe}')")
-        elif choice == 2 and STRING_VALUES:
-            probe = draw(st.sampled_from(STRING_VALUES)).replace("'", "")
-            k = draw(st.integers(1, 2))
-            filters.append(f"FILTER edist(?{variable}, '{probe}') <= {k}")
-        else:
-            needle = draw(st.sampled_from(STRING_VALUES))[1:4].replace("'", "")
-            if needle:
-                filters.append(f"FILTER contains(?{variable}, '{needle}')")
+        k = draw(st.integers(1, 3))
+        patterns.append(f"(?u,{attribute},?v)")
+        filters.insert(0, f"FILTER edist(?{variable}, ?v) < {k}")
+        used_vars += ["u", "v"]
+    optional = ""
+    if used_vars and draw(st.booleans()):
+        optional_vars: list[str] = []
+        inner = _patterns(draw, optional_vars, subject=used_vars[0])
+        optional = f" OPTIONAL {{{' '.join(inner)}}}"
+        used_vars += optional_vars
+    union = ""
+    if draw(st.booleans()):
+        union_vars: list[str] = []
+        other = _patterns(draw, union_vars) + _filters(draw, union_vars)
+        union = f" UNION {{{' '.join(other)}}}"
+        used_vars += union_vars
 
-    body = " ".join(patterns + filters)
+    body = " ".join(patterns + filters) + optional
     select_vars = sorted(set(used_vars))
     select = ", ".join(f"?{v}" for v in select_vars) if select_vars else "*"
     distinct = "DISTINCT " if draw(st.booleans()) else ""
-    text = f"SELECT {distinct}{select} WHERE {{{body}}}"
-    return text
+    return f"SELECT {distinct}{select} WHERE {{{body}}}{union}"
 
 
 def _canonical(rows):

@@ -133,8 +133,8 @@ def ref_migrate_peer(pnet, donor, target_path):
 
 
 def ref_join_peer(pnet, node_id, rng):
-    newcomer = pnet.add_peer(node_id, path="")
     contact = pnet.random_online_peer(rng)
+    newcomer = pnet.add_peer(node_id, path="")
     target_key = "".join(rng.choice("01") for _ in range(24))
     hop = pnet.ship(newcomer.node_id, contact.node_id, "join", size=1)
     host, trace = route(contact, target_key, kind="join", rng=rng, runner=pnet)
