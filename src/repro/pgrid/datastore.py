@@ -13,6 +13,14 @@ written once: :meth:`DataStore.merge` (newest version wins),
 :meth:`DataStore.copy_from` (a joining or migrating replica) and
 :func:`newest` (the newest version per identity over several stores).
 
+The same primitives keep two summaries of the contents current: the entry
+count (so ``len`` is O(1)) and, once :meth:`DataStore.digest` has been asked
+for, a fingerprint of the stored ``(key, item_id, version)`` set.  Anti-entropy
+compares fingerprints to skip replicas that already agree (see
+:func:`repro.pgrid.updates.sync_pair`).  The fingerprint uses ``hash()``,
+which ``PYTHONHASHSEED`` salts per process, so it only ever decides whether
+to merge; no simulated figure reads it.
+
 Keys are binary key strings (see :mod:`repro.pgrid.keys`); values are opaque
 to this layer (the triple layer stores index postings here).
 """
@@ -43,17 +51,33 @@ class DataStore:
     def __init__(self) -> None:
         self._by_key: dict[str, dict[str, Entry]] = {}
         self._sorted_keys: list[str] = []
+        self._count = 0
+        #: Sum of :func:`fingerprint` over the entries; None until
+        #: :meth:`digest` first computes it, so bulk loads never pay for it.
+        self._digest: int | None = None
         #: Bumped by every call that changes the contents, so local caches
         #: over the store (see :mod:`repro.triples.local_index`) can tell
         #: whether they are still valid.
         self.revision = 0
 
     def __len__(self) -> int:
-        return sum(len(items) for items in self._by_key.values())
+        return self._count
 
     def __iter__(self) -> Iterator[Entry]:
         for key in self._sorted_keys:
             yield from self._by_key[key].values()
+
+    def digest(self) -> int:
+        """Fingerprint of the stored ``(key, item_id, version)`` set.
+
+        Two stores with equal digests hold the same identities at the same
+        versions (up to a hash collision), so merging them both ways would
+        move nothing.  Computed on the first call, then kept current by every
+        primitive that changes the store.
+        """
+        if self._digest is None:
+            self._digest = sum(map(fingerprint, self))
+        return self._digest
 
     def put(self, entry: Entry) -> bool:
         """Insert or upgrade one entry; True when the store changed (see :meth:`merge`)."""
@@ -68,7 +92,8 @@ class DataStore:
         idempotent and order-insensitive.  The revision moves by the count.
         """
         by_key = self._by_key
-        changed = 0
+        digest = self._digest
+        changed = upgraded = 0
         for entry in entries:
             items = by_key.get(entry.key)
             if items is None:
@@ -76,10 +101,18 @@ class DataStore:
                 by_key[entry.key] = {entry.item_id: entry}
             else:
                 existing = items.get(entry.item_id)
-                if existing is not None and existing.version >= entry.version:
-                    continue
+                if existing is not None:
+                    if existing.version >= entry.version:
+                        continue
+                    upgraded += 1
+                    if digest is not None:
+                        digest -= fingerprint(existing)
                 items[entry.item_id] = entry
+            if digest is not None:
+                digest += fingerprint(entry)
             changed += 1
+        self._count += changed - upgraded
+        self._digest = digest
         self.revision += changed
         return changed
 
@@ -88,7 +121,10 @@ class DataStore:
         items = self._by_key.get(key)
         if not items or item_id not in items:
             return False
-        del items[item_id]
+        entry = items.pop(item_id)
+        self._count -= 1
+        if self._digest is not None:
+            self._digest -= fingerprint(entry)
         if not items:
             del self._by_key[key]
             index = bisect.bisect_left(self._sorted_keys, key)
@@ -144,6 +180,8 @@ class DataStore:
     def clear(self) -> None:
         self._by_key.clear()
         self._sorted_keys.clear()
+        self._count = 0
+        self._digest = 0
         self.revision += 1
 
     def retain(self, prefix: str, inside: bool = True) -> list[Entry]:
@@ -158,6 +196,9 @@ class DataStore:
         for key in dropped:
             del self._by_key[key]
         self._sorted_keys = kept
+        self._count -= len(handed)
+        if self._digest is not None:
+            self._digest -= sum(map(fingerprint, handed))
         self.revision += len(handed)
         return handed
 
@@ -165,8 +206,23 @@ class DataStore:
         """Replace the contents with ``other``'s, in its order; return the entry count."""
         self._by_key = {key: dict(items) for key, items in other._by_key.items()}
         self._sorted_keys = list(other._sorted_keys)
+        self._count = other._count
+        self._digest = other._digest
         self.revision += 1
-        return len(self)
+        return self._count
+
+
+def fingerprint(entry: Entry) -> int:
+    """One entry's share of :meth:`DataStore.digest`: its versioned identity's
+    hash, squared.
+
+    The square matters.  A tuple's hash is close to linear in its last
+    element, so with plain hashes one identity moving up a version and
+    another moving down often cancel in the sum; squaring breaks that
+    linearity.
+    """
+    hashed = hash((entry.key, entry.item_id, entry.version))
+    return hashed * hashed
 
 
 def newest(sources: Iterable[Iterable[Entry]]) -> list[Entry]:

@@ -13,6 +13,14 @@ has two phases:
 Both phases move entries through ``DataStore.merge`` (newest version wins).
 A round's pairs run as one routed wave: one round trip of simulated time.
 
+The pull phase is "digest + delta".  Each store keeps a fingerprint of its
+``(key, item_id, version)`` set (:meth:`DataStore.digest`), so a pair whose
+fingerprints and entry counts match already agrees and skips the merge:
+merging it would have moved nothing.  Only the wall time changes; messages
+are charged as before (the digest as size 1, the reply as ``max(1, moved)``).
+The fingerprint is salted per process by ``PYTHONHASHSEED`` and decides only
+skip or merge, never a simulated figure.
+
 The guarantees are probabilistic ("lose consistency" in the paper's words):
 :func:`staleness` quantifies convergence, and experiment E9 shows it decaying
 towards zero with successive anti-entropy rounds.
@@ -61,7 +69,13 @@ def anti_entropy_round(pnet: PGridNetwork, rng: random.Random | None = None) -> 
 
 
 def sync_pair(a: PGridPeer, b: PGridPeer) -> int:
-    """Bidirectional reconciliation of two replicas; returns entries copied."""
+    """Bidirectional reconciliation of two replicas; returns entries copied.
+
+    Replicas with equal entry counts and digests hold the same versioned
+    identities, so they return 0 without reading either store.
+    """
+    if len(a.store) == len(b.store) and a.store.digest() == b.store.digest():
+        return 0
     return b.store.merge(a.store) + a.store.merge(b.store)
 
 

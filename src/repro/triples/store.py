@@ -54,10 +54,15 @@ class Posting:
     triple: Triple
 
 
+#: ``kind.value`` per index kind, read from a dict: ``Enum.value`` goes
+#: through a descriptor, and bulk loads build one item id per posting.
+_KIND_TAG = {kind: kind.value for kind in IndexKind}
+
+
 def _item_id(kind: IndexKind, identity: str, extra: str = "") -> str:
     """DHT item id of a posting of the triple with ``identity``."""
     suffix = f"\x03{extra}" if extra else ""
-    return f"{kind.value}\x03{identity}{suffix}"
+    return f"{_KIND_TAG[kind]}\x03{identity}{suffix}"
 
 
 class DistributedTripleStore:
