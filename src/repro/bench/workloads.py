@@ -128,15 +128,11 @@ def lookup_key_pool(store, attributes: tuple[str, ...] = ("published_in", "title
     returned keys are sorted by descending posting count — rank 0 is the
     most popular value, ready for Zipf-ranked sampling.
     """
-    from repro.triples.index import IndexKind, av_index_range, av_key
+    from repro.triples.index import av_index_range, av_key
+    from repro.triples.store import stored_triples
 
     counts: dict[str, int] = {}
-    for entry in store.pnet.all_entries(av_index_range()):
-        posting = entry.value
-        kind = getattr(posting, "kind", None)
-        if kind is not IndexKind.AV:
-            continue
-        triple = posting.triple
+    for triple in stored_triples(store.pnet.all_entries(av_index_range())):
         if triple.attribute in attributes:
             key = av_key(triple.attribute, triple.value)
             counts[key] = counts.get(key, 0) + 1

@@ -358,16 +358,7 @@ class UniStore:
 
     def _all_triples(self) -> list[Triple]:
         """Every distinct triple in the overlay (via the A#v postings)."""
-        from repro.triples.index import IndexKind, av_index_range
-        from repro.triples.store import Posting
+        from repro.triples.index import av_index_range
+        from repro.triples.store import stored_triples
 
-        triples = []
-        seen = set()
-        for entry in self.pnet.all_entries(av_index_range()):
-            posting = entry.value
-            if isinstance(posting, Posting) and posting.kind is IndexKind.AV:
-                identity = posting.triple.as_tuple()
-                if identity not in seen:
-                    seen.add(identity)
-                    triples.append(posting.triple)
-        return triples
+        return list(stored_triples(self.pnet.all_entries(av_index_range())))

@@ -30,7 +30,6 @@ are the same physical operators in both modes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace as dataclass_replace
 
@@ -38,11 +37,12 @@ from repro.errors import ExecutionError
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
 from repro.algebra.operators import PatternScan
-from repro.algebra.semantics import Binding, bound_variables, compatible, join_key, merge_bindings
+from repro.algebra.semantics import Binding, bound_variables
 from repro.mqp.plan import MutantQueryPlan
 from repro.optimizer.adaptive import Step, choose_next_step
 from repro.optimizer.cost_model import CostModel
 from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, probe_join
+from repro.physical.joins import hash_join
 from repro.vql.ast import Expression, expression_variables
 
 
@@ -186,7 +186,7 @@ def _scan_and_migrate(
         plan.bindings = new_rows
     else:
         shared = sorted(bound_variables(plan.bindings) & bound_variables(new_rows))
-        plan.bindings = _local_join(plan.bindings, new_rows, shared)
+        plan.bindings = hash_join(plan.bindings, new_rows, shared)
     return trace, result.complete
 
 
@@ -201,18 +201,3 @@ def _apply_ready_filters(plan: MutantQueryPlan) -> list[Binding] | None:
     plan.residual_filters = [f for f in plan.residual_filters if f not in ready]
     return [row for row in plan.bindings if all(satisfies(f, row) for f in ready)]
 
-
-def _local_join(
-    left_rows: list[Binding], right_rows: list[Binding], shared: list[str]
-) -> list[Binding]:
-    if not shared:
-        return [merge_bindings(l, r) for l in left_rows for r in right_rows]
-    table: dict[tuple, list[Binding]] = defaultdict(list)
-    for row in left_rows:
-        table[join_key(row, shared)].append(row)
-    joined: list[Binding] = []
-    for row in right_rows:
-        for match in table.get(join_key(row, shared), ()):
-            if compatible(match, row):
-                joined.append(merge_bindings(match, row))
-    return joined

@@ -64,11 +64,9 @@ from repro.physical import (
     TopNOp,
     UnionOp,
 )
-from repro.pgrid.keys import KeyRange
 from repro.triples.index import (
-    INDEX_TAG,
-    IndexKind,
     av_attribute_range,
+    av_index_range,
     av_key,
     av_string_prefix_range,
     av_value_range,
@@ -278,7 +276,7 @@ class Planner:
             # OIDs are strings: a non-string subject probes a key and matches nothing.
             key = oid_key(str(pattern.subject.value))  # type: ignore[union-attr]
             return Planned(
-                IndexLookup(pattern, filters, IndexKind.OID, key, "oid-lookup"),
+                IndexLookup(pattern, filters, key, "oid-lookup"),
                 self.model.lookup(),
                 rows=rows,
             )
@@ -292,7 +290,7 @@ class Planner:
                 rows = attr_count * self.stats.eq_selectivity(attribute)
                 key = av_key(attribute, pattern.object.value)  # type: ignore[union-attr]
                 return Planned(
-                    IndexLookup(pattern, filters, IndexKind.AV, key, "av-lookup"),
+                    IndexLookup(pattern, filters, key, "av-lookup"),
                     self.model.lookup(),
                     rows=rows,
                 )
@@ -305,7 +303,7 @@ class Planner:
                 rows = attr_count * self.stats.eq_selectivity(attribute)
                 key_range = av_value_range(attribute, eq, eq)
                 return Planned(
-                    IndexRange(pattern, filters, IndexKind.AV, key_range, "av-range", algorithm),
+                    IndexRange(pattern, filters, key_range, "av-range", algorithm),
                     self.model.lookup(),
                     rows=rows,
                 )
@@ -334,7 +332,7 @@ class Planner:
                 cost = self.model.range_scan(fraction, algorithm or "shower", attr_count * 0.1)
                 key_range = av_string_prefix_range(attribute, prefix.prefix)
                 return Planned(
-                    IndexRange(pattern, filters, IndexKind.AV, key_range, "av-prefix", algorithm),
+                    IndexRange(pattern, filters, key_range, "av-prefix", algorithm),
                     cost,
                     rows=attr_count * 0.1,
                     producers=self.stats.expected_leaves(fraction),
@@ -348,7 +346,7 @@ class Planner:
                 cost = self.model.range_scan(fraction, algorithm or "shower", rows)
                 key_range = av_value_range(attribute, low, high, low_inc, high_inc)
                 return Planned(
-                    IndexRange(pattern, filters, IndexKind.AV, key_range, "av-range", algorithm),
+                    IndexRange(pattern, filters, key_range, "av-range", algorithm),
                     cost,
                     rows=rows,
                     producers=self.stats.expected_leaves(fraction),
@@ -358,7 +356,7 @@ class Planner:
             cost = self.model.range_scan(fraction, algorithm or "shower", attr_count)
             key_range = av_attribute_range(attribute)
             return Planned(
-                IndexRange(pattern, filters, IndexKind.AV, key_range, "attribute-scan", algorithm),
+                IndexRange(pattern, filters, key_range, "attribute-scan", algorithm),
                 cost,
                 rows=float(attr_count),
                 producers=self.stats.expected_leaves(fraction),
@@ -368,7 +366,7 @@ class Planner:
             rows = self.stats.estimate_pattern(pattern)
             key = v_key(pattern.object.value)  # type: ignore[union-attr]
             return Planned(
-                IndexLookup(pattern, filters, IndexKind.V, key, "v-lookup"),
+                IndexLookup(pattern, filters, key, "v-lookup"),
                 self.model.lookup(),
                 rows=rows,
             )
@@ -380,7 +378,7 @@ class Planner:
                 cost = self.model.range_scan(fraction, algorithm or "shower", 10)
                 key_range = v_string_prefix_range(prefix.prefix)
                 return Planned(
-                    IndexRange(pattern, filters, IndexKind.V, key_range, "v-prefix", algorithm),
+                    IndexRange(pattern, filters, key_range, "v-prefix", algorithm),
                     cost,
                     rows=self.stats.total_triples * 0.05,
                     producers=self.stats.expected_leaves(fraction),
@@ -391,7 +389,7 @@ class Planner:
                 cost = self.model.range_scan(fraction, algorithm or "shower", 10)
                 key_range = v_value_range(low, high, low_inc, high_inc)
                 return Planned(
-                    IndexRange(pattern, filters, IndexKind.V, key_range, "v-range", algorithm),
+                    IndexRange(pattern, filters, key_range, "v-range", algorithm),
                     cost,
                     rows=self.stats.total_triples * 0.2,
                     producers=self.stats.expected_leaves(fraction),
@@ -399,9 +397,9 @@ class Planner:
 
         fraction = 1.0
         cost = self.model.range_scan(fraction, algorithm or "shower", self.stats.total_triples)
-        key_range = KeyRange.subtree(INDEX_TAG[IndexKind.AV])
+        key_range = av_index_range()
         return Planned(
-            IndexRange(pattern, filters, IndexKind.AV, key_range, "broadcast", algorithm),
+            IndexRange(pattern, filters, key_range, "broadcast", algorithm),
             cost,
             rows=float(self.stats.total_triples),
             producers=float(self.stats.num_groups),

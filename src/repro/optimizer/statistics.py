@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 from repro.pgrid.network import PGridNetwork
-from repro.triples.index import IndexKind, av_index_range
-from repro.triples.store import DistributedTripleStore, Posting
+from repro.triples.index import av_index_range
+from repro.triples.store import DistributedTripleStore, stored_triples
 from repro.triples.triple import Value
 from repro.vql.ast import Literal, TriplePattern
 
@@ -62,11 +62,7 @@ class CatalogStatistics:
         )
         distinct_values: dict[str, set[Value]] = {}
         oids: set[str] = set()
-        for entry in pnet.all_entries(av_index_range()):
-            posting = entry.value
-            if not isinstance(posting, Posting) or posting.kind is not IndexKind.AV:
-                continue
-            triple = posting.triple
+        for triple in stored_triples(pnet.all_entries(av_index_range())):
             stats.total_triples += 1
             oids.add(triple.oid)
             attr = stats.attributes.setdefault(triple.attribute, AttributeStats())

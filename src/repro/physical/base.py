@@ -24,8 +24,8 @@ from repro.algebra.expressions import satisfies
 from repro.algebra.semantics import Binding, compatible, match_pattern, merge_bindings
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
-from repro.triples.index import IndexKind, probe_key
-from repro.triples.store import DistributedTripleStore, Posting
+from repro.triples.index import probe_key
+from repro.triples.store import DistributedTripleStore, stored_triples
 from repro.vql.ast import Expression, TriplePattern, expression_variables
 
 
@@ -147,14 +147,13 @@ class FilterCheck:
 def match_postings(
     entries,
     pattern: TriplePattern,
-    kind: IndexKind,
     variable: str,
     value,
     check: FilterCheck,
 ) -> list[Binding]:
     """Bindings produced by the index postings under one probe key.
 
-    Deduplicates postings, unifies them against ``pattern``, keeps only
+    Deduplicates triples, unifies them against ``pattern``, keeps only
     matches whose ``variable`` equals the probed ``value`` and that pass
     ``check``.  Equality is the join's own, so a non-string value probing
     the OID index under its string form matches no OID, exactly as in the
@@ -163,16 +162,8 @@ def match_postings(
     Called by :func:`probe_join` with one ``check`` for all probe values.
     """
     matches: list[Binding] = []
-    seen: set = set()
-    for entry in entries:
-        posting = entry.value
-        if not isinstance(posting, Posting) or posting.kind is not kind:
-            continue
-        identity = posting.triple.as_tuple()
-        if identity in seen:
-            continue
-        seen.add(identity)
-        binding = match_pattern(pattern, posting.triple)
+    for triple in stored_triples(entries):
+        binding = match_pattern(pattern, triple)
         if binding is None or binding.get(variable) != value:
             continue
         if check(binding):
@@ -204,13 +195,11 @@ def probe_join(
     entries_by_key: dict[str, list] = {}
     trace = Trace.ZERO
     if keys:
-        entries_by_key, trace = ctx.pnet.lookup_many(
-            [key for key, _index in keys.values()], start=start, kind=message_kind
-        )
+        entries_by_key, trace = ctx.pnet.lookup_many(keys.values(), start=start, kind=message_kind)
     check = FilterCheck(filters)
     matches = {
-        value: match_postings(entries_by_key.get(key, []), pattern, index, variable, value, check)
-        for value, (key, index) in keys.items()
+        value: match_postings(entries_by_key.get(key, []), pattern, variable, value, check)
+        for value, key in keys.items()
     }
     joined = [
         merge_bindings(row, match)

@@ -222,10 +222,20 @@ def _rendezvous_value(value_key: tuple) -> str:
 def _hash_join(
     left_rows: list[Binding], right_rows: list[Binding], shared: list[str]
 ) -> list[Binding]:
+    """:func:`hash_join` building its table over the smaller side.  A cross
+    product (no ``shared`` variable) keeps its sides, and so its order."""
+    if shared and len(right_rows) < len(left_rows):
+        left_rows, right_rows = right_rows, left_rows
+    return hash_join(left_rows, right_rows, shared)
+
+
+def hash_join(
+    left_rows: list[Binding], right_rows: list[Binding], shared: list[str]
+) -> list[Binding]:
+    """Join on the ``shared`` variables: a table over ``left_rows``, probed
+    by each right row in order; the cross product when ``shared`` is empty."""
     if not shared:
         return [merge_bindings(l, r) for l in left_rows for r in right_rows]
-    if len(right_rows) < len(left_rows):
-        left_rows, right_rows = right_rows, left_rows
     table: dict[tuple, list[Binding]] = defaultdict(list)
     for row in left_rows:
         table[join_key(row, shared)].append(row)

@@ -47,8 +47,8 @@ from repro.pgrid.range_query import (
 from repro.strings import distinct_count_filter_threshold, edit_distance_within, qgrams
 from repro.triples.index import INDEX_TAG, IndexKind, av_attribute_range, qgram_key
 from repro.triples.local_index import TupleIndex, tuple_index
-from repro.triples.store import Posting
-from repro.triples.triple import Triple, Value
+from repro.triples.store import stored_triples
+from repro.triples.triple import Value
 from repro.vql.ast import Expression, FunctionCall, Literal, TriplePattern, Var
 
 #: Strategy -> the name ``explain()`` prints for an index scan.
@@ -72,23 +72,15 @@ class _ScanBase(PhysicalOperator):
     pattern: TriplePattern
     filters: tuple[Expression, ...]
 
-    def _bindings(self, entries, kind: IndexKind, check: FilterCheck) -> list[Binding]:
+    def _bindings(self, entries, check: FilterCheck) -> list[Binding]:
         """Convert one peer's index postings to filtered bindings.
 
-        Deduplicates postings within ``entries`` (one peer's result); one
+        Deduplicates triples within ``entries`` (one peer's result); one
         ``check`` shares filter verdicts across several peers' calls.
         """
-        seen: set[tuple[str, str, Value]] = set()
         bindings: list[Binding] = []
-        for entry in entries:
-            posting = entry.value
-            if not isinstance(posting, Posting) or posting.kind is not kind:
-                continue
-            identity = posting.triple.as_tuple()
-            if identity in seen:
-                continue
-            seen.add(identity)
-            binding = match_pattern(self.pattern, posting.triple)
+        for triple in stored_triples(entries):
+            binding = match_pattern(self.pattern, triple)
             if binding is not None and check(binding):
                 bindings.append(binding)
         return bindings
@@ -102,13 +94,12 @@ class _ScanBase(PhysicalOperator):
 class IndexLookup(_ScanBase):
     """Exact lookup of one index key: every posting stored under ``key``."""
 
-    kind: IndexKind
     key: str
     strategy: str = field()  # required, not PhysicalOperator's ""
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
         entries, trace, destination = ctx.pnet.lookup_at(self.key, start=ctx.coordinator)
-        bindings = self._bindings(entries, self.kind, FilterCheck(self.filters))
+        bindings = self._bindings(entries, FilterCheck(self.filters))
         groups = [(destination.node_id, bindings)] if bindings else []
         return OpResult(groups=groups, trace=trace)
 
@@ -117,7 +108,6 @@ class IndexLookup(_ScanBase):
 class IndexRange(_ScanBase):
     """Range walk over ``key_range`` of one index, shower or sequential."""
 
-    kind: IndexKind
     key_range: KeyRange
     strategy: str = field()  # required, not PhysicalOperator's ""
     algorithm: str | None = None  # None = context default
@@ -137,7 +127,7 @@ class IndexRange(_ScanBase):
         check = FilterCheck(self.filters)
         result_groups = []
         for peer_id, entries in groups:
-            bindings = self._bindings(entries, self.kind, check)
+            bindings = self._bindings(entries, check)
             if bindings:
                 result_groups.append((peer_id, bindings))
         return OpResult(groups=result_groups, trace=trace, complete=complete)
@@ -176,36 +166,26 @@ class QGramScan(_ScanBase):
         attribute = str(predicate.value)
         if distinct_count_filter_threshold(self.text, self.q, self.max_distance) < 1:
             fallback = IndexRange(
-                self.pattern,
-                self.filters,
-                IndexKind.AV,
-                av_attribute_range(attribute),
-                "attribute-scan",
+                self.pattern, self.filters, av_attribute_range(attribute), "attribute-scan"
             )
             return fallback.execute(ctx)
 
-        candidates: dict[tuple[str, str, Value], Triple] = {}
+        entries = []
         branches: list[Trace] = []
         for gram in self._probe_grams():
-            entries, trace = ctx.pnet.lookup(qgram_key(gram), start=ctx.coordinator, kind="qgram")
+            found, trace = ctx.pnet.lookup(qgram_key(gram), start=ctx.coordinator, kind="qgram")
             branches.append(trace)
-            for entry in entries:
-                posting = entry.value
-                if not isinstance(posting, Posting) or posting.kind is not IndexKind.QGRAM:
-                    continue
-                triple = posting.triple
-                if triple.attribute != attribute:
-                    continue
-                candidates.setdefault(triple.as_tuple(), triple)
+            entries.extend(found)
+        candidates = [t for t in stored_triples(entries) if t.attribute == attribute]
 
         # Many candidates share a value: verify each distinct value once.
         distances = {
             value: edit_distance_within(value, self.text, self.max_distance)
-            for value in {t.value for t in candidates.values() if isinstance(t.value, str)}
+            for value in {t.value for t in candidates if isinstance(t.value, str)}
         }
         check = self._check(distances)
         bindings: list[Binding] = []
-        for triple in candidates.values():
+        for triple in candidates:
             if distances.get(triple.value) is None:
                 continue
             binding = match_pattern(self.pattern, triple)

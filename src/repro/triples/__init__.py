@@ -26,7 +26,7 @@ from repro.triples.mappings import (
     MappingCatalog,
     SchemaMapping,
 )
-from repro.triples.store import DistributedTripleStore, Posting
+from repro.triples.store import DistributedTripleStore, stored_triples
 from repro.triples.triple import (
     Triple,
     Value,
@@ -40,7 +40,7 @@ __all__ = [
     "triples_from_tuple",
     "tuple_from_triples",
     "DistributedTripleStore",
-    "Posting",
+    "stored_triples",
     "IndexKind",
     "INDEX_TAG",
     "oid_key",

@@ -17,6 +17,10 @@ The q-gram similarity index (tag 11, :func:`qgram_key`) shares this tag
 registry; :class:`repro.triples.store.DistributedTripleStore` publishes its
 postings and :class:`repro.physical.scans.QGramScan` probes them.
 
+The tag is the only record of an entry's index: every index stores the
+:class:`~repro.triples.triple.Triple` itself, and every key or range a
+reader uses is built by a function here, inside one tag's subtree.
+
 Probing a pattern once one of its variables is bound follows one rule
 (:func:`probe_index`): a bound subject probes the OID index; a bound object
 probes A#v when the predicate is a literal and v otherwise.
@@ -40,7 +44,7 @@ from repro.vql.ast import Literal, TriplePattern, Var
 
 
 class IndexKind(str, Enum):
-    """Which of the default indexes a posting belongs to."""
+    """One of the indexes; its :data:`INDEX_TAG` prefixes every key it files."""
 
     OID = "oid"
     AV = "av"
@@ -184,17 +188,18 @@ def probe_variable(pattern: TriplePattern, bound: Collection[str]) -> str | None
     return None
 
 
-def probe_key(pattern: TriplePattern, variable: str, value: Value) -> tuple[str, IndexKind]:
-    """The key and index that answer ``pattern`` with ``variable`` = ``value``.
+def probe_key(pattern: TriplePattern, variable: str, value: Value) -> str:
+    """The key that answers ``pattern`` with ``variable`` = ``value``, in the
+    index :func:`probe_index` picks.
 
     OIDs are strings, so an OID probe uses ``str(value)``: every join value
     has a key, and a non-string value then matches no OID, as in a join.
     """
     kind = probe_index(pattern, variable)
     if kind is IndexKind.OID:
-        return oid_key(str(value)), kind
+        return oid_key(str(value))
     if kind is IndexKind.AV:
-        return av_key(str(pattern.predicate.value), value), kind  # type: ignore[union-attr]
+        return av_key(str(pattern.predicate.value), value)  # type: ignore[union-attr]
     if kind is IndexKind.V:
-        return v_key(value), kind
+        return v_key(value)
     raise PlanningError(f"no index answers {pattern} through ?{variable}")

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 from repro.pgrid.datastore import DataStore, Entry
-from repro.triples.index import IndexKind
-from repro.triples.store import Posting
+from repro.triples.store import stored_triples
 from repro.triples.triple import Triple, Value
 
 
@@ -66,16 +65,8 @@ def tuple_index(store: DataStore, entries: list[Entry]) -> TupleIndex:
 
 def _build(entries: list[Entry], revision: int) -> TupleIndex:
     triples: dict[str, list[Triple]] = {}
-    seen: set[tuple[str, str, Value]] = set()
-    for entry in entries:
-        posting = entry.value
-        if not isinstance(posting, Posting) or posting.kind is not IndexKind.OID:
-            continue
-        identity = posting.triple.as_tuple()
-        if identity in seen:
-            continue
-        seen.add(identity)
-        triples.setdefault(posting.triple.oid, []).append(posting.triple)
+    for triple in stored_triples(entries):
+        triples.setdefault(triple.oid, []).append(triple)
 
     attributes: dict[str, dict[str, list[Triple]]] = {}
     by_attribute: dict[str, list[str]] = {}

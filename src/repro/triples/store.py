@@ -2,17 +2,30 @@
 Service" pair (Fig. 1, layers 2-3).
 
 ``DistributedTripleStore`` publishes each triple under the three default
-indexes (plus, optionally, a q-gram similarity index over string values) and
-offers the retrieval primitives the physical query operators build on:
+indexes (plus, optionally, a q-gram similarity index over string values).
+The stored value under every index key is the :class:`Triple` itself; the
+key's 2-bit tag (:data:`~repro.triples.index.INDEX_TAG`) says which index
+an entry belongs to.  :func:`stored_triples` is the one decoder of stored
+values: it yields the distinct triples of some entries and skips values
+that are not a ``Triple`` (an application may store its own values in the
+same overlay).
 
-* exact access — :meth:`by_oid`/:meth:`by_oids`, :meth:`by_attribute_value`,
-  :meth:`by_value`;
-* ordered access — :meth:`attribute_range` (``Ai >= vi`` queries),
-  :meth:`attribute_prefix`, :meth:`value_prefix` (substring/prefix search);
+The physical query operators do not read through this class: they call the
+overlay's :meth:`~repro.pgrid.network.PGridNetwork.lookup_at` and
+:meth:`~repro.pgrid.network.PGridNetwork.lookup_many` and the shower /
+sequential range groups directly, and decode with :func:`stored_triples`.
+Here live:
+
 * maintenance — :meth:`insert`/:meth:`insert_tuple`/:meth:`insert_tuples_batch`
   (all message-accounted through the overlay's destination-grouped bulk
   inserts), :meth:`update_value`, :meth:`delete`, and oracle
-  :meth:`bulk_insert` for benchmark setup.
+  :meth:`bulk_insert` for benchmark setup;
+* reads — :meth:`by_oid`/:meth:`by_oids` and :meth:`by_attribute_value`,
+  used by the schema-mapping layer (:mod:`repro.triples.mappings`).
+  :meth:`by_value`, :meth:`attribute_range`, :meth:`attribute_all`,
+  :meth:`attribute_prefix`, :meth:`value_range`, :meth:`value_prefix` and
+  :meth:`qgram_postings` have no caller in the package; they stay because
+  the wall-clock tracer (``perfbench/tracing.py``) wraps every read by name.
 
 Every method returns the causal :class:`~repro.net.trace.Trace` alongside its
 result, so upper layers can compose full query-plan costs.
@@ -20,11 +33,12 @@ result, so upper layers can compose full query-plan costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 
 from repro.errors import StorageError
 from repro.net.trace import Trace
 from repro.pgrid.construction import bulk_load
+from repro.pgrid.datastore import Entry
 from repro.pgrid.keys import KeyRange
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
@@ -46,14 +60,6 @@ from repro.triples.index import (
 from repro.triples.triple import Triple, Value, triples_from_tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Posting:
-    """What is physically stored in the DHT: an index-tagged triple copy."""
-
-    kind: IndexKind
-    triple: Triple
-
-
 #: ``kind.value`` per index kind, read from a dict: ``Enum.value`` goes
 #: through a descriptor, and bulk loads build one item id per posting.
 _KIND_TAG = {kind: kind.value for kind in IndexKind}
@@ -63,6 +69,21 @@ def _item_id(kind: IndexKind, identity: str, extra: str = "") -> str:
     """DHT item id of a posting of the triple with ``identity``."""
     suffix = f"\x03{extra}" if extra else ""
     return f"{_KIND_TAG[kind]}\x03{identity}{suffix}"
+
+
+def stored_triples(entries: Iterable[Entry]) -> Iterator[Triple]:
+    """The distinct triples stored in ``entries``, in first-seen order.
+
+    Values that are not a :class:`Triple` are skipped.  Which index an
+    entry belongs to is its key's tag, so a reader that stays inside one
+    index's subtree needs nothing else to decode it.
+    """
+    seen: set[Triple] = set()
+    for entry in entries:
+        triple = entry.value
+        if isinstance(triple, Triple) and triple not in seen:
+            seen.add(triple)
+            yield triple
 
 
 class DistributedTripleStore:
@@ -82,8 +103,8 @@ class DistributedTripleStore:
 
     # -- posting construction --------------------------------------------------
 
-    def postings(self, triple: Triple) -> list[tuple[str, str, Posting]]:
-        """All ``(key, item_id, posting)`` a triple is published under.
+    def postings(self, triple: Triple) -> list[tuple[str, str, Triple]]:
+        """All ``(key, item_id, triple)`` a triple is published under.
 
         Q-gram postings follow the grams' first occurrence in the value, so
         the order (and the versions a load assigns) never depends on hashing.
@@ -91,16 +112,15 @@ class DistributedTripleStore:
         identity = triple.identity()
         oid, av, v = triple_keys(triple.oid, triple.attribute, triple.value)
         entries = [
-            (oid, _item_id(IndexKind.OID, identity), Posting(IndexKind.OID, triple)),
-            (av, _item_id(IndexKind.AV, identity), Posting(IndexKind.AV, triple)),
-            (v, _item_id(IndexKind.V, identity), Posting(IndexKind.V, triple)),
+            (oid, _item_id(IndexKind.OID, identity), triple),
+            (av, _item_id(IndexKind.AV, identity), triple),
+            (v, _item_id(IndexKind.V, identity), triple),
         ]
         if self._qgram_indexed(triple):
             assert isinstance(triple.value, str)
-            posting = Posting(IndexKind.QGRAM, triple)
             for gram in dict.fromkeys(qgrams(triple.value, q=self.qgram_q)):
                 entries.append(
-                    (qgram_key(gram), _item_id(IndexKind.QGRAM, identity, gram), posting)
+                    (qgram_key(gram), _item_id(IndexKind.QGRAM, identity, gram), triple)
                 )
         return entries
 
@@ -140,7 +160,7 @@ class DistributedTripleStore:
         :meth:`bulk_insert`, which is an *oracle* placement without messages).
         """
         triples: list[Triple] = []
-        items: list[tuple[str, str, Posting]] = []
+        items: list[tuple[str, str, Triple]] = []
         for oid, values in tuples:
             decomposed = triples_from_tuple(oid, values)
             triples.extend(decomposed)
@@ -156,7 +176,7 @@ class DistributedTripleStore:
         """Withdraw a triple from every index."""
         start = start or self.pnet.random_online_peer()
         branches = []
-        for key, item_id, _posting in self.postings(triple):
+        for key, item_id, _triple in self.postings(triple):
             _removed, trace = self.pnet.delete(key, item_id, start=start)
             branches.append(trace)
         return Trace.parallel(branches)
@@ -192,7 +212,7 @@ class DistributedTripleStore:
         keys = {oid: oid_key(oid) for oid in oids}
         entries_by_key, trace = self.pnet.lookup_many(keys.values(), start=start)
         return {
-            oid: self._triples(entries_by_key.get(key, []), IndexKind.OID)
+            oid: sorted(stored_triples(entries_by_key.get(key, [])))
             for oid, key in keys.items()
         }, trace
 
@@ -201,12 +221,12 @@ class DistributedTripleStore:
     ) -> tuple[list[Triple], Trace]:
         """Triples with ``attribute == value`` via the A#v index."""
         entries, trace = self.pnet.lookup(av_key(attribute, value), start=start)
-        return self._triples(entries, IndexKind.AV), trace
+        return sorted(stored_triples(entries)), trace
 
     def by_value(self, value: Value, start: PGridPeer | None = None) -> tuple[list[Triple], Trace]:
         """Triples with the given value under *any* attribute, via the v index."""
         entries, trace = self.pnet.lookup(v_key(value), start=start)
-        return self._triples(entries, IndexKind.V), trace
+        return sorted(stored_triples(entries)), trace
 
     # -- ordered retrieval -----------------------------------------------------------
 
@@ -222,13 +242,13 @@ class DistributedTripleStore:
     ) -> tuple[list[Triple], Trace, bool]:
         """Triples with ``low <op> attribute.value <op> high`` (A#v range scan)."""
         key_range = av_value_range(attribute, low, high, low_inclusive, high_inclusive)
-        return self._range(key_range, IndexKind.AV, algorithm, start)
+        return self._range(key_range, algorithm, start)
 
     def attribute_all(
         self, attribute: str, algorithm: str = "shower", start: PGridPeer | None = None
     ) -> tuple[list[Triple], Trace, bool]:
         """Every triple of one attribute (full A#v subtree scan)."""
-        return self._range(av_attribute_range(attribute), IndexKind.AV, algorithm, start)
+        return self._range(av_attribute_range(attribute), algorithm, start)
 
     def attribute_prefix(
         self,
@@ -239,7 +259,7 @@ class DistributedTripleStore:
     ) -> tuple[list[Triple], Trace, bool]:
         """Triples whose string value starts with ``prefix`` (per attribute)."""
         key_range = av_string_prefix_range(attribute, prefix)
-        return self._range(key_range, IndexKind.AV, algorithm, start)
+        return self._range(key_range, algorithm, start)
 
     def value_range(
         self,
@@ -252,13 +272,13 @@ class DistributedTripleStore:
     ) -> tuple[list[Triple], Trace, bool]:
         """Attribute-agnostic value range over the v index."""
         key_range = v_value_range(low, high, low_inclusive, high_inclusive)
-        return self._range(key_range, IndexKind.V, algorithm, start)
+        return self._range(key_range, algorithm, start)
 
     def value_prefix(
         self, prefix: str, algorithm: str = "shower", start: PGridPeer | None = None
     ) -> tuple[list[Triple], Trace, bool]:
         """Prefix search over all string values, attribute unknown."""
-        return self._range(v_string_prefix_range(prefix), IndexKind.V, algorithm, start)
+        return self._range(v_string_prefix_range(prefix), algorithm, start)
 
     # -- q-gram index access (used by the similarity operators) -----------------------
 
@@ -269,14 +289,13 @@ class DistributedTripleStore:
         if not self.enable_qgram_index:
             raise StorageError("q-gram index is not enabled on this store")
         entries, trace = self.pnet.lookup(qgram_key(gram), start=start)
-        return self._triples(entries, IndexKind.QGRAM), trace
+        return sorted(stored_triples(entries)), trace
 
     # -- internals ---------------------------------------------------------------------
 
     def _range(
         self,
         key_range: KeyRange,
-        kind: IndexKind,
         algorithm: str,
         start: PGridPeer | None,
     ) -> tuple[list[Triple], Trace, bool]:
@@ -286,20 +305,4 @@ class DistributedTripleStore:
             entries, trace, complete = range_query_sequential(self.pnet, key_range, start=start)
         else:
             raise ValueError(f"unknown range algorithm {algorithm!r}")
-        return self._triples(entries, kind), trace, complete
-
-    @staticmethod
-    def _triples(entries, kind: IndexKind) -> list[Triple]:
-        """Extract, filter by index kind, and deduplicate triples from entries."""
-        seen: set[tuple[str, str, Value]] = set()
-        result: list[Triple] = []
-        for entry in entries:
-            posting = entry.value
-            if not isinstance(posting, Posting) or posting.kind is not kind:
-                continue
-            key = posting.triple.as_tuple()
-            if key in seen:
-                continue
-            seen.add(key)
-            result.append(posting.triple)
-        return sorted(result)
+        return sorted(stored_triples(entries)), trace, complete

@@ -27,8 +27,8 @@ from repro.pgrid import build_network, bulk_load
 from repro.pgrid.datastore import Entry
 from repro.pgrid.keys import KeyRange, responsible
 from repro.pgrid.network import PGridNetwork
-from repro.triples.index import IndexKind
-from repro.triples.store import Posting
+from repro.triples.index import INDEX_TAG, IndexKind
+from repro.triples.triple import Triple
 
 SLOW = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -195,16 +195,15 @@ class TestRangedEntries:
 
 
 def full_rescan_statistics(store: UniStore) -> tuple[int, int, dict[str, AttributeStats]]:
-    """Catalog figures from every entry of the overlay, A#v postings kept."""
+    """Catalog figures from every entry of the overlay, A#v-tagged triples kept."""
     attributes: dict[str, AttributeStats] = {}
     distinct: dict[str, set] = {}
     oids: set[str] = set()
     total = 0
     for entry in store.pnet.all_entries():
-        posting = entry.value
-        if not isinstance(posting, Posting) or posting.kind is not IndexKind.AV:
+        triple = entry.value
+        if not isinstance(triple, Triple) or not entry.key.startswith(INDEX_TAG[IndexKind.AV]):
             continue
-        triple = posting.triple
         total += 1
         oids.add(triple.oid)
         attr = attributes.setdefault(triple.attribute, AttributeStats())

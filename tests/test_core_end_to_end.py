@@ -46,13 +46,13 @@ class TestFigure2:
         assert len(fig2_store.pnet) == 8
 
     def test_postings_split_three_ways(self, fig2_store):
-        from repro.triples import IndexKind
+        from repro.triples import INDEX_TAG, IndexKind
 
-        kinds = {IndexKind.OID: 0, IndexKind.AV: 0, IndexKind.V: 0}
+        tags = {INDEX_TAG[kind]: 0 for kind in (IndexKind.OID, IndexKind.AV, IndexKind.V)}
         for peer in fig2_store.pnet.peers:
             for entry in peer.store:
-                kinds[entry.value.kind] += 1
-        assert kinds == {IndexKind.OID: 6, IndexKind.AV: 6, IndexKind.V: 6}
+                tags[entry.key[:2]] += 1
+        assert tags == dict.fromkeys(tags, 6)
 
     def test_tuple_reassembly(self, fig2_store):
         result = fig2_store.execute("SELECT ?a,?v WHERE {('v34',?a,?v)}")
@@ -149,6 +149,71 @@ class TestExecutionModes:
                 f"SELECT ?x WHERE {{(?x,'age',?y) FILTER {condition}}}", mode=mode
             )
         assert conference_store.pnet.net.stats.messages == before
+
+
+class TestForeignValues:
+    """A value that is not a triple, stored by an application under an index
+    key, is skipped by every reader of the triple indexes."""
+
+    def test_readers_skip_values_that_are_not_triples(self):
+        from repro.bench.workloads import lookup_key_pool
+        from repro.triples import av_key, oid_key, qgram_key, v_key
+
+        store = UniStore.build(num_peers=16, replication=2, seed=21, enable_qgram_index=True)
+        domain = ConferenceWorkload(num_authors=20, num_publications=40, num_conferences=8, seed=21)
+        domain.load_into(store)
+        conference = str(domain.conferences[0]["confname"])
+        oid = store._all_triples()[0].oid
+        queries = {
+            "broadcast": "SELECT * WHERE {(?s,?p,?o)}",
+            "attribute-scan": "SELECT ?s,?v WHERE {(?s,'age',?v)}",
+            "oid-lookup": f"SELECT ?p,?o WHERE {{('{oid}',?p,?o)}}",
+            "v-lookup": f"SELECT ?s,?p WHERE {{(?s,?p,'{conference}')}}",
+            "lookup": f"SELECT ?p WHERE {{(?p,'published_in','{conference}')}}",
+            "range": "SELECT ?t,?y WHERE {(?p,'title',?t) (?p,'year',?y) "
+            "FILTER ?y >= 2002 AND ?y <= 2004}",
+            "star": "SELECT ?t,?c WHERE {(?p,'year',2003) (?p,'title',?t) "
+            "(?p,'classified_in',?c)}",
+            "join": "SELECT ?name,?title WHERE {(?a,'name',?name) (?a,'has_published',?title) "
+            f"(?p,'title',?title) (?p,'published_in','{conference}')}}",
+            "similarity": "SELECT ?c WHERE {(?x,'published_in',?c) "
+            f"FILTER edist(?c,'{conference}')<3}}",
+            "skyline": "SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) "
+            "(?a,'num_of_pubs',?cnt) FILTER ?age <= 50} ORDER BY SKYLINE OF ?age MIN, ?cnt MAX",
+            "topn": "SELECT ?name,?cnt WHERE {(?a,'name',?name) (?a,'num_of_pubs',?cnt)} "
+            "ORDER BY ?cnt DESC, ?name ASC LIMIT 5",
+        }
+
+        def observe():
+            stats = store.refresh_statistics()
+            return (
+                (stats.total_triples, stats.distinct_oids, stats.attributes),
+                {name: _canonical(store.execute(vql).rows) for name, vql in queries.items()},
+                store._all_triples(),
+                lookup_key_pool(store),
+            )
+
+        before = observe()
+        keys = [
+            av_key("published_in", conference),
+            av_key("age", 30),
+            av_key("year", 2003),
+            v_key(conference),
+            oid_key(oid),
+            qgram_key(conference[:3]),
+        ]
+        for key in keys:
+            for value in ("foreign", 7):
+                store.pnet.insert(key, value, item_id=f"foreign/{value}")
+        for key in keys:
+            entries, _trace = store.pnet.lookup(key)
+            assert {"foreign", 7} <= {entry.value for entry in entries}
+
+        assert observe() == before
+        for name, vql in queries.items():
+            reference = _canonical(store.execute(vql, mode="reference").rows)
+            for mode in ("optimized", "mqp"):
+                assert _canonical(store.execute(vql, mode=mode).rows) == reference, (name, mode)
 
 
 class TestIngestionAPI:

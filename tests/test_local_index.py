@@ -25,7 +25,6 @@ from repro.triples import (
     INDEX_TAG,
     DistributedTripleStore,
     IndexKind,
-    Posting,
     Triple,
     oid_key,
 )
@@ -85,14 +84,11 @@ def per_entry_star(patterns, filters, groups):
         by_oid: dict[str, list[Triple]] = {}
         seen = set()
         for entry in entries:
-            posting = entry.value
-            if not isinstance(posting, Posting) or posting.kind is not IndexKind.OID:
+            triple = entry.value
+            if not isinstance(triple, Triple) or triple.as_tuple() in seen:
                 continue
-            identity = posting.triple.as_tuple()
-            if identity in seen:
-                continue
-            seen.add(identity)
-            by_oid.setdefault(posting.triple.oid, []).append(posting.triple)
+            seen.add(triple.as_tuple())
+            by_oid.setdefault(triple.oid, []).append(triple)
         bindings = []
         for triples in by_oid.values():
             bindings.extend(_star_rows(patterns, filters, triples))

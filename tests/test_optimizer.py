@@ -15,12 +15,10 @@ from repro.physical import (
     RehashJoin,
     ShipJoin,
 )
-from repro.pgrid.keys import KeyRange
 from repro.triples import DistributedTripleStore
 from repro.triples.index import (
-    INDEX_TAG,
-    IndexKind,
     av_attribute_range,
+    av_index_range,
     av_key,
     av_string_prefix_range,
     av_value_range,
@@ -139,13 +137,13 @@ class TestScanSelection:
     def test_bound_subject_uses_oid_index(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?p WHERE {('person:000001',?p,?o)}")
         scan = self._find(plan, IndexLookup)
-        assert (scan.strategy, scan.kind) == ("oid-lookup", IndexKind.OID)
+        assert scan.strategy == "oid-lookup"
         assert scan.key == oid_key("person:000001")
 
     def test_bound_pred_obj_uses_av_lookup(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?s WHERE {(?s,'age',30)}")
         scan = self._find(plan, IndexLookup)
-        assert (scan.strategy, scan.kind) == ("av-lookup", IndexKind.AV)
+        assert scan.strategy == "av-lookup"
         assert scan.key == av_key("age", 30)
 
     def test_equality_filter_becomes_point_range(self, stats_env):
@@ -194,13 +192,13 @@ class TestScanSelection:
     def test_bound_object_uses_v_index(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?s,?p WHERE {(?s,?p,'ICDE')}")
         scan = self._find(plan, IndexLookup)
-        assert (scan.strategy, scan.kind, scan.key) == ("v-lookup", IndexKind.V, v_key("ICDE"))
+        assert (scan.strategy, scan.key) == ("v-lookup", v_key("ICDE"))
 
     def test_nothing_bound_broadcasts(self, stats_env):
         plan = self._scan_for(stats_env, "SELECT ?s WHERE {(?s,?p,?o)}")
         scan = self._find(plan, IndexRange)
         assert scan.strategy == "broadcast"
-        assert scan.key_range == KeyRange.subtree(INDEX_TAG[IndexKind.AV])
+        assert scan.key_range == av_index_range()
 
 
 class TestJoinSelection:

@@ -16,6 +16,7 @@ from repro.physical import (
     IndexNestedLoopJoin,
     IndexRange,
     NaiveSimilarityJoin,
+    OidClusterScan,
     OpResult,
     QGramScan,
     QGramSimilarityJoin,
@@ -24,15 +25,18 @@ from repro.physical import (
     SkylineOp,
     TopNOp,
 )
+from repro.physical.scans import SCAN_NAMES
 from repro.triples import DistributedTripleStore, Triple
 from repro.triples.index import (
     INDEX_TAG,
     IndexKind,
     av_attribute_range,
+    av_index_range,
     av_key,
     av_string_prefix_range,
     av_value_range,
     oid_key,
+    probe_index,
     probe_key,
     probe_variable,
     v_key,
@@ -77,7 +81,7 @@ def rows_of(result: OpResult):
 def attribute_scan(pattern):
     """Scan every triple of the pattern's (literal) predicate."""
     key_range = av_attribute_range(str(pattern.predicate.value))
-    return IndexRange(pattern, (), IndexKind.AV, key_range, "attribute-scan")
+    return IndexRange(pattern, (), key_range, "attribute-scan")
 
 
 def planned_scan(store, vql):
@@ -89,12 +93,57 @@ def planned_scan(store, vql):
     return planner.plan_scan(node).op
 
 
+def index_of(place) -> IndexKind:
+    """The one index whose key subtree holds ``place``, a key or a KeyRange.
+
+    Stored values carry no index of their own: a reader learns an entry's
+    index only from where it read, so every key and range must stay inside
+    exactly one tag's subtree.
+    """
+
+    def holds(subtree: KeyRange) -> bool:
+        if isinstance(place, str):
+            return subtree.contains(place)
+        below_hi = subtree.canonical_hi is None or (
+            place.canonical_hi is not None and place.canonical_hi <= subtree.canonical_hi
+        )
+        return subtree.canonical_lo <= place.canonical_lo and below_hi
+
+    (kind,) = [kind for kind, tag in INDEX_TAG.items() if holds(KeyRange.subtree(tag))]
+    return kind
+
+
+@pytest.fixture()
+def reads(env, monkeypatch):
+    """Every key and KeyRange the operators read from ``env``'s overlay."""
+    import repro.physical.scans as scans
+
+    store, _triples, _ctx = env
+    pnet = store.pnet
+    places = []
+
+    def recording(real, read_places):
+        def read(*args, **kwargs):
+            places.extend(read_places(*args))
+            return real(*args, **kwargs)
+
+        return read
+
+    monkeypatch.setattr(pnet, "lookup", recording(pnet.lookup, lambda key, *_: [key]))
+    monkeypatch.setattr(pnet, "lookup_at", recording(pnet.lookup_at, lambda key, *_: [key]))
+    monkeypatch.setattr(pnet, "lookup_many", recording(pnet.lookup_many, lambda keys, *_: keys))
+    for name in ("range_query_shower_groups", "range_query_sequential_groups"):
+        ranged = recording(getattr(scans, name), lambda _pnet, key_range, *_: [key_range])
+        monkeypatch.setattr(scans, name, ranged)
+    return places
+
+
 class TestScans:
     def test_oid_lookup(self, env):
         store, triples, ctx = env
         some_oid = triples[0].oid
         scan = planned_scan(store, f"SELECT ?p,?o WHERE {{('{some_oid}',?p,?o)}}")
-        assert (scan.strategy, scan.kind) == ("oid-lookup", IndexKind.OID)
+        assert scan.strategy == "oid-lookup"
         assert scan.key == oid_key(some_oid)
         expected = [{"p": t.attribute, "o": t.value} for t in triples if t.oid == some_oid]
         assert rows_of(scan.execute(ctx)) == _canonical(expected)
@@ -103,7 +152,7 @@ class TestScans:
         store, triples, ctx = env
         year = next(t.value for t in triples if t.attribute == "year")
         scan = planned_scan(store, f"SELECT ?s WHERE {{(?s,'year',{year})}}")
-        assert (scan.strategy, scan.kind) == ("av-lookup", IndexKind.AV)
+        assert scan.strategy == "av-lookup"
         assert scan.key == av_key("year", year)
         expected = [{"s": t.oid} for t in triples if t.attribute == "year" and t.value == year]
         assert rows_of(scan.execute(ctx)) == _canonical(expected)
@@ -111,7 +160,7 @@ class TestScans:
     def test_av_range(self, env):
         store, triples, ctx = env
         scan = planned_scan(store, "SELECT ?s,?v WHERE {(?s,'age',?v) FILTER ?v >= 30 AND ?v < 40}")
-        assert scan.strategy == "av-range" and scan.kind is IndexKind.AV
+        assert scan.strategy == "av-range"
         assert scan.key_range == av_value_range("age", 30, 40, True, False)
         expected = [
             {"s": t.oid, "v": t.value}
@@ -124,8 +173,8 @@ class TestScans:
         store, _triples, ctx = env
         pattern = TriplePattern(Var("s"), Literal("age"), Var("v"))
         key_range = av_value_range("age", 30, 50)
-        shower = IndexRange(pattern, (), IndexKind.AV, key_range, "av-range", "shower")
-        sequential = IndexRange(pattern, (), IndexKind.AV, key_range, "av-range", "sequential")
+        shower = IndexRange(pattern, (), key_range, "av-range", "shower")
+        sequential = IndexRange(pattern, (), key_range, "av-range", "sequential")
         assert rows_of(shower.execute(ctx)) == rows_of(sequential.execute(ctx))
 
     def test_av_prefix(self, env):
@@ -133,7 +182,7 @@ class TestScans:
         scan = planned_scan(
             store, "SELECT ?s,?v WHERE {(?s,'confname',?v) FILTER prefix(?v,'ICDE')}"
         )
-        assert scan.strategy == "av-prefix" and scan.kind is IndexKind.AV
+        assert scan.strategy == "av-prefix"
         assert scan.key_range == av_string_prefix_range("confname", "ICDE")
         expected = [
             {"s": t.oid, "v": t.value}
@@ -145,7 +194,7 @@ class TestScans:
     def test_attribute_scan(self, env):
         store, triples, ctx = env
         scan = planned_scan(store, "SELECT ?s,?v WHERE {(?s,'series',?v)}")
-        assert scan.strategy == "attribute-scan" and scan.kind is IndexKind.AV
+        assert scan.strategy == "attribute-scan"
         assert scan.key_range == av_attribute_range("series")
         expected = [{"s": t.oid, "v": t.value} for t in triples if t.attribute == "series"]
         assert rows_of(scan.execute(ctx)) == _canonical(expected)
@@ -154,14 +203,14 @@ class TestScans:
         store, triples, ctx = env
         value = next(t.value for t in triples if t.attribute == "series")
         scan = planned_scan(store, f"SELECT ?s,?p WHERE {{(?s,?p,'{value}')}}")
-        assert (scan.strategy, scan.kind, scan.key) == ("v-lookup", IndexKind.V, v_key(value))
+        assert (scan.strategy, scan.key) == ("v-lookup", v_key(value))
         expected = [{"s": t.oid, "p": t.attribute} for t in triples if t.value == value]
         assert rows_of(scan.execute(ctx)) == _canonical(expected)
 
     def test_v_range(self, env):
         store, triples, ctx = env
         scan = planned_scan(store, "SELECT * WHERE {(?s,?p,?v) FILTER ?v > 30 AND ?v <= 40}")
-        assert scan.strategy == "v-range" and scan.kind is IndexKind.V
+        assert scan.strategy == "v-range"
         assert scan.key_range == v_value_range(30, 40, False, True)
         expected = [
             {"s": t.oid, "p": t.attribute, "v": t.value}
@@ -173,7 +222,7 @@ class TestScans:
     def test_v_prefix(self, env):
         store, triples, ctx = env
         scan = planned_scan(store, "SELECT * WHERE {(?s,?p,?v) FILTER prefix(?v,'ICDE')}")
-        assert scan.strategy == "v-prefix" and scan.kind is IndexKind.V
+        assert scan.strategy == "v-prefix"
         assert scan.key_range == v_string_prefix_range("ICDE")
         expected = [
             {"s": t.oid, "p": t.attribute, "v": t.value}
@@ -185,8 +234,8 @@ class TestScans:
     def test_broadcast_scan_returns_everything(self, env):
         store, triples, ctx = env
         scan = planned_scan(store, "SELECT * WHERE {(?s,?p,?o)}")
-        assert scan.strategy == "broadcast" and scan.kind is IndexKind.AV
-        assert scan.key_range == KeyRange.subtree(INDEX_TAG[IndexKind.AV])
+        assert scan.strategy == "broadcast"
+        assert scan.key_range == av_index_range()
         assert scan.execute(ctx).total_rows() == len(triples)
 
     def test_explain_keeps_strategy_names(self, env):
@@ -268,6 +317,85 @@ class TestScans:
         numeric_subject = planned_scan(store, "SELECT ?p WHERE {(42,?p,?o)}")
         assert numeric_subject.key == oid_key("42")  # OIDs are strings: it matches none
         assert numeric_subject.execute(ctx).groups == []
+
+
+class TestIndexSubtrees:
+    """The invariant that lets a stored value be the bare triple: every key
+    and range an operator reads lies inside exactly one index's subtree."""
+
+    STRATEGIES = [
+        ("oid-lookup", "SELECT ?p,?o WHERE {('{oid}',?p,?o)}", IndexKind.OID),
+        ("av-lookup", "SELECT ?s WHERE {(?s,'age',30)}", IndexKind.AV),
+        ("v-lookup", "SELECT ?s,?p WHERE {(?s,?p,'ICDE')}", IndexKind.V),
+        ("av-range", "SELECT ?s WHERE {(?s,'age',?v) FILTER ?v >= 30 AND ?v < 40}", IndexKind.AV),
+        ("av-range", "SELECT ?s WHERE {(?s,'age',?v) FILTER ?v > 30}", IndexKind.AV),
+        ("av-range", "SELECT ?s WHERE {(?s,'age',?v) FILTER ?v <= 40}", IndexKind.AV),
+        ("av-range", "SELECT ?s WHERE {(?s,'age',?v) FILTER ?v = 30}", IndexKind.AV),
+        (
+            "av-prefix",
+            "SELECT ?s WHERE {(?s,'confname',?v) FILTER prefix(?v,'ICDE')}",
+            IndexKind.AV,
+        ),
+        ("attribute-scan", "SELECT ?s WHERE {(?s,'series',?v)}", IndexKind.AV),
+        ("v-range", "SELECT * WHERE {(?s,?p,?v) FILTER ?v > 30 AND ?v <= 40}", IndexKind.V),
+        ("v-range", "SELECT * WHERE {(?s,?p,?v) FILTER ?v > 30}", IndexKind.V),
+        ("v-range", "SELECT * WHERE {(?s,?p,?v) FILTER ?v < 'M'}", IndexKind.V),
+        ("v-prefix", "SELECT * WHERE {(?s,?p,?v) FILTER prefix(?v,'ICDE')}", IndexKind.V),
+        ("broadcast", "SELECT * WHERE {(?s,?p,?o)}", IndexKind.AV),
+    ]
+
+    def test_every_strategy_is_covered(self):
+        assert {strategy for strategy, _vql, _kind in self.STRATEGIES} == set(SCAN_NAMES)
+
+    @pytest.mark.parametrize("strategy, vql, kind", STRATEGIES)
+    @pytest.mark.parametrize("algorithm", ["shower", "sequential"])
+    def test_scan_reads_one_index(self, env, reads, strategy, vql, kind, algorithm):
+        store, triples, ctx = env
+        scan = planned_scan(store, vql.replace("{oid}", triples[0].oid))
+        assert scan.strategy == strategy
+        planned = scan.key if hasattr(scan, "key") else scan.key_range
+        assert index_of(planned) is kind
+        if hasattr(scan, "algorithm"):
+            scan.algorithm = algorithm
+        scan.execute(ctx)
+        assert reads and all(index_of(place) is kind for place in reads)
+
+    @pytest.mark.parametrize("max_distance, kind", [(1, IndexKind.QGRAM), (5, IndexKind.AV)])
+    def test_qgram_scan_reads_one_index(self, env, reads, max_distance, kind):
+        """Gram probes read the q-gram index; the short-query fallback the
+        attribute's A#v subtree."""
+        _store, triples, ctx = env
+        target = next(str(t.value) for t in triples if t.attribute == "published_in")
+        pattern = TriplePattern(Var("s"), Literal("published_in"), Var("v"))
+        scan = QGramScan(pattern, (), text=target[:3], max_distance=max_distance)
+        scan.execute(ctx)
+        assert reads and all(index_of(place) is kind for place in reads)
+
+    def test_oid_cluster_scan_reads_the_oid_index(self, env, reads):
+        _store, _triples, ctx = env
+        patterns = (
+            TriplePattern(Var("a"), Literal("name"), Var("n")),
+            TriplePattern(Var("a"), Literal("age"), Var("g")),
+        )
+        OidClusterScan(patterns, (), "a").execute(ctx)
+        assert reads and all(index_of(place) is IndexKind.OID for place in reads)
+
+    @pytest.mark.parametrize(
+        "right, kind",
+        [
+            ("(?a,'age',?g)", IndexKind.OID),
+            ("(?p,'title',?t)", IndexKind.AV),
+            ("(?p,?q,?t)", IndexKind.V),
+        ],
+    )
+    def test_join_probes_read_one_index(self, env, reads, right, kind):
+        _store, _triples, ctx = env
+        left = attribute_scan(TriplePattern(Var("a"), Literal("has_published"), Var("t")))
+        (right_pattern,) = parse(f"SELECT * WHERE {{{right}}}").groups[0].patterns
+        IndexNestedLoopJoin(left, left, right_pattern=right_pattern).execute(ctx)
+        scanned, *probed = reads
+        assert index_of(scanned) is IndexKind.AV
+        assert probed and all(index_of(place) is kind for place in probed)
 
 
 class TestJoinStrategies:
@@ -366,7 +494,8 @@ class TestProbeKey:
     def test_probe_key(self, pattern, variable, value, expected):
         (pattern,) = parse(f"SELECT * WHERE {{{pattern}}}").groups[0].patterns
         key, kind = expected
-        assert probe_key(pattern, variable, value) == (key, IndexKind(kind))
+        assert probe_key(pattern, variable, value) == key
+        assert index_of(key) is probe_index(pattern, variable) is IndexKind(kind)
 
     def test_bound_subject_is_probed_before_bound_object(self):
         pattern = TriplePattern(Var("a"), Literal("age"), Var("b"))

@@ -22,7 +22,7 @@ from repro.physical import (
 )
 from repro.pgrid import build_network
 from repro.triples import DistributedTripleStore, Triple
-from repro.triples.index import IndexKind, av_attribute_range
+from repro.triples.index import av_attribute_range
 from repro.vql import parse
 from repro.vql.ast import Literal, OrderItem, TriplePattern, Var
 
@@ -61,7 +61,7 @@ def _names(result):
 
 def scan(attr, var="n", subject="a"):
     pattern = TriplePattern(Var(subject), Literal(attr), Var(var))
-    return IndexRange(pattern, (), IndexKind.AV, av_attribute_range(attr), "attribute-scan")
+    return IndexRange(pattern, (), av_attribute_range(attr), "attribute-scan")
 
 
 class TestFlowOperators:
