@@ -18,11 +18,13 @@ model attached, a delivery completes at link latency + queueing delay +
 service time, so hot peers become genuine latency bottlenecks.
 
 Every routed P-Grid operation describes its messages in one form, a list of
-:data:`~repro.net.scheduler.ChainSpec` chains (hops, then follow-up sends
-returned by an arrival action), and both models interpret that form with one
-signature: :meth:`Network.run_chains` composes ``send`` traces analytically,
-:meth:`EventScheduler.run_chains <repro.net.scheduler.EventScheduler.run_chains>`
-runs the chains on the simulated clock.  Each interpreter keeps its own
+:class:`~repro.net.scheduler.ChainSpec` chains (hops, then the follow-up
+chains an arrival action returns, then an optional reply once those
+completed; a plain message is a one-hop chain), and both models interpret
+that form with one signature: :meth:`Network.run_chains` composes ``send``
+traces analytically, :meth:`EventScheduler.run_chains
+<repro.net.scheduler.EventScheduler.run_chains>` runs the chains on the
+simulated clock.  Each interpreter keeps its own
 jitter order (depth first here, firing order there), so neither model's
 figures depend on the other.
 
@@ -120,6 +122,8 @@ class Network:
         return Trace.hop(latency)
 
     def _send_hops(self, hops: Hops, kind: str, size: int) -> Trace:
+        if len(hops) == 1:  # a message: its hop is the trace (as ZERO.then(hop))
+            return self.send(*hops[0], kind, size)
         trace = Trace.ZERO
         for src, dst in hops:
             trace = trace.then(self.send(src, dst, kind, size))
@@ -133,21 +137,26 @@ class Network:
         The causal-trace twin of :meth:`EventScheduler.run_chains
         <repro.net.scheduler.EventScheduler.run_chains>`, with the same
         arguments and accounting.  Per chain, its hops are sent in order,
-        then ``on_arrival`` runs (given the chain's latency so far) and its
-        follow-up sends go out in parallel; the chains compose with
-        ``Trace.parallel``.  ``untracked`` chains are sent last and stay out
-        of the returned trace.  Jitter is drawn depth first, chain by chain.
+        then ``on_arrival`` runs (given the latency so far) and its follow-up
+        chains run the same way, then the ``reply``; sibling chains compose
+        with ``Trace.parallel``.  ``untracked`` chains are sent last and stay
+        out of the returned trace.  Jitter is drawn depth first, chain by chain.
         """
-        branches = []
-        for hops, kind, size, on_arrival in chains:
-            trace = self._send_hops(hops, kind, size)
-            sends = on_arrival(trace.latency)
-            if sends:
-                trace = trace.then(Trace.parallel([self.send(*send) for send in sends]))
-            branches.append(trace)
+        trace = Trace.parallel([self._run_chain(chain, 0.0) for chain in chains])
         for hops, kind, size in untracked:
             self._send_hops(hops, kind, size)
-        return Trace.parallel(branches)
+        return trace
+
+    def _run_chain(self, chain: ChainSpec, at: float) -> Trace:
+        hops, kind, size, on_arrival, reply = chain
+        trace = self._send_hops(hops, kind, size)
+        arrival = at + trace.latency
+        follow_ups = on_arrival(arrival)
+        if follow_ups:
+            trace = trace.then(Trace.parallel([self._run_chain(c, arrival) for c in follow_ups]))
+        if reply is not None:
+            trace = trace.then(self._run_chain(reply, at + trace.latency))
+        return trace
 
     # -- accounting ---------------------------------------------------------
 

@@ -6,10 +6,16 @@ interleaving them.  :class:`EventScheduler` is the execution engine for the
 alternative model: messages become events on a shared
 :class:`~repro.net.simulator.EventSimulator` heap, hop chains are callback
 chains (each delivery schedules the next hop), and concurrent fan-outs
-genuinely interleave on one simulated clock.  A fan-out over k destinations
-therefore *completes at the max* of its per-destination chains because that
-is when its last event fires — the paper's parallel-lookup latency argument,
-reproduced mechanically instead of assumed.
+genuinely interleave on one simulated clock.  A fan-out over k
+destinations therefore *completes at the max* of its per-destination chains
+because that is when its last event fires — the paper's parallel-lookup
+latency argument, reproduced mechanically instead of assumed.
+
+The routed operations of :mod:`repro.pgrid` reach the scheduler through
+:meth:`EventScheduler.run_chains`, which runs the one :class:`ChainSpec`
+form (nested follow-up chains and replies, as the shower range query's tree
+edges use them) that :meth:`Network.run_chains
+<repro.net.network.Network.run_chains>` interprets analytically.
 
 Determinism: the simulator breaks time ties FIFO, every latency sample comes
 from the network's seeded RNGs, and deliveries are appended to
@@ -55,7 +61,7 @@ sequence is byte-identical to PR 4's scheduler (asserted by tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 from repro.errors import NodeUnreachableError
 from repro.net.simulator import EventSimulator
@@ -81,20 +87,37 @@ MAX_PARK_ROUNDS = 8
 #: Callback invoked with the delivery instant of a message or chain.
 Completion = Callable[[float], None]
 
-#: ``(src, dst, kind, size)`` messages, as accepted by :meth:`EventScheduler.fanout`.
+#: ``(src, dst, kind, size)`` messages, as accepted by :func:`then_send`.
 Sends = list[tuple[str, str, str, int]]
 
 #: A discovered route: ``(src_id, dst_id)`` pairs, sent in order.
 Hops = list[tuple[str, str]]
 
-#: One chain of a routed wave: ``(hops, kind, size, on_arrival)``, where
-#: ``on_arrival(time)`` does the destination-side work and returns the
-#: follow-up sends; see :meth:`EventScheduler.run_chains`.
-ChainSpec = tuple[Hops, str, int, Callable[[float], Sends]]
+
+class ChainSpec(NamedTuple):
+    """One chain of a routed wave; see :meth:`EventScheduler.run_chains`.
+
+    ``hops`` are sent in order; at the destination ``on_arrival(time)`` does
+    the destination-side work and returns the follow-up chains (or nothing),
+    which depart together.  Once they have all completed, ``reply`` (if any)
+    departs, and the chain completes when the reply does.
+    """
+
+    hops: Hops
+    kind: str
+    size: int = 1
+    on_arrival: Callable[[float], "list[ChainSpec] | tuple | None"] = lambda _time: ()
+    reply: "ChainSpec | None" = None
+
 
 #: A chain whose route failed: its partial ``(hops, kind, size)`` are sent
 #: and accounted, but the wave does not wait for it.
 PartialChain = tuple[Hops, str, int]
+
+
+def message(src: str, dst: str, kind: str, size: int = 1) -> ChainSpec:
+    """One message as a chain: a single hop, no follow-ups, no reply."""
+    return ChainSpec([(src, dst)], kind, size)
 
 
 class ChainRunner(Protocol):
@@ -107,9 +130,10 @@ class ChainRunner(Protocol):
     ) -> Trace: ...
 
 
-def then_send(sends: Sends | tuple = ()) -> Callable[[float], Sends | tuple]:
-    """An ``on_arrival`` whose follow-up sends are fixed when the wave is built."""
-    return lambda _time: sends
+def then_send(sends: Sends | tuple) -> Callable[[float], list[ChainSpec]]:
+    """An ``on_arrival`` whose follow-up messages are fixed when the wave is built."""
+    follow_ups = [message(*send) for send in sends]
+    return lambda _time: follow_ups
 
 
 @dataclass(frozen=True)
@@ -134,7 +158,7 @@ class EventScheduler:
 
     One scheduler wraps one :class:`~repro.net.network.Network` plus one
     :class:`EventSimulator`.  Operations schedule their message graphs
-    (:meth:`send_at`, :meth:`chain`, :meth:`fanout`) and then :meth:`run`
+    (:meth:`send_at`, :meth:`chain`, :meth:`run_chains`) and then :meth:`run`
     drains the heap; the clock is monotone across operations, so back-to-back
     calls compose sequentially in simulated time while everything scheduled
     before a drain overlaps.
@@ -329,32 +353,13 @@ class EventScheduler:
             return
         step(0, start)
 
-    def fanout(
-        self,
-        sends: list[tuple[str, str, str, int]],
-        at: float | None = None,
-    ) -> Trace:
-        """Schedule ``(src, dst, kind, size)`` messages concurrently and drain.
+    def fanout(self, sends: Sends) -> Trace:
+        """Run ``(src, dst, kind, size)`` messages as one wave from ``now``.
 
-        All messages depart at the same instant; the returned trace completes
-        at the max arrival — the event-driven counterpart of
-        ``Trace.parallel`` over single hops.
+        No ``src/`` code calls it (``PGridNetwork.ship_many`` sends the same
+        one-hop chains); it stays because ``perfbench/tracing.py`` wraps it.
         """
-        start = self.now if at is None else at
-        completions: list[float] = []
-        accounted = 0
-        for src, dst, kind, size in sends:
-            if src != dst:
-                accounted += 1
-            self.send_at(start, src, dst, kind, size, on_delivered=completions.append)
-        self.run()
-        finish = max(completions, default=start)
-        return Trace(
-            messages=accounted,
-            hops=1 if accounted else 0,
-            latency=finish - start,
-            completion_time=finish,
-        )
+        return self.run_chains([message(*send) for send in sends])
 
     def run_chains(
         self, chains: list[ChainSpec], untracked: list[PartialChain] | tuple = ()
@@ -366,10 +371,12 @@ class EventScheduler:
         <repro.net.network.Network.run_chains>` is its analytic twin, with
         the same arguments and the same accounting.  Each chain's hops depart
         as a callback chain; at the destination ``on_arrival`` runs with the
-        arrival instant and returns follow-up sends (replica pushes, a
-        reply, a forward), which depart together.  A chain completes when
-        its last follow-up is delivered (or at arrival when there is none);
-        the wave completes at the max over all chains.  ``untracked`` chains
+        arrival instant and returns follow-up chains (replica pushes, a
+        reply, a forward, a shower's sub-ranges), which depart together and
+        nest the same way.  Once the last of them completes, the chain's
+        ``reply`` departs; a chain completes when its reply does, or else at
+        its last follow-up's completion (at arrival when there is none).
+        The wave completes at the max over all chains.  ``untracked`` chains
         are scheduled and accounted but never complete — the partial hops of
         failed routes.
 
@@ -378,42 +385,61 @@ class EventScheduler:
         first, chain by chain.  Message and hop counts always agree.
         """
         start_time = self.now
-        completions: list[float] = []
-        totals = {"messages": 0, "critical": 0}
-        for hops, kind, size, on_arrival in chains:
-            sent = sum(src != dst for src, dst in hops)
-            totals["messages"] += sent
-            totals["critical"] = max(totals["critical"], sent)
+        wave = {"messages": 0, "hops": 0, "finish": start_time}
 
-            def arrived(time: float, sent: int = sent, on_arrival: Callable = on_arrival) -> None:
-                sends = on_arrival(time)
-                if not sends:
-                    completions.append(time)
-                    return
-                replies = sum(src != dst for src, dst, _kind, _size in sends)
-                totals["messages"] += replies
-                totals["critical"] = max(totals["critical"], sent + min(replies, 1))
-                for src, dst, send_kind, send_size in sends:
-                    self.send_at(
-                        time,
-                        src,
-                        dst,
-                        send_kind,
-                        send_size,
-                        on_delivered=completions.append,
-                    )
+        def done(time: float, hops: int) -> None:
+            wave["finish"] = max(wave["finish"], time)
+            wave["hops"] = max(wave["hops"], hops)
 
-            self.chain(hops, kind, size, at=start_time, on_done=arrived)
+        for chain in chains:
+            self._run_chain(chain, start_time, wave, done)
         for hops, kind, size in untracked:
             self.chain(hops, kind, size, at=start_time)
         self.run()
-        finish = max(completions, default=start_time)
         return Trace(
-            messages=totals["messages"],
-            hops=totals["critical"],
-            latency=finish - start_time,
-            completion_time=finish,
+            messages=wave["messages"],
+            hops=wave["hops"],
+            latency=wave["finish"] - start_time,
+            completion_time=wave["finish"],
         )
+
+    def _run_chain(
+        self, chain: ChainSpec, at: float, wave: dict, on_done: Callable[[float, int], None]
+    ) -> None:
+        """Schedule ``chain`` from ``at``; ``on_done(time, hops)`` fires when it
+        completes, with its critical-path hop count.  Messages are counted
+        into ``wave`` as they are scheduled."""
+        hops, kind, size, on_arrival, reply = chain
+        sent = sum(src != dst for src, dst in hops)
+        wave["messages"] += sent
+
+        def settled(time: float, depth: int) -> None:
+            if reply is None:
+                on_done(time, sent + depth)
+            else:
+                self._run_chain(reply, time, wave, lambda t, h: on_done(t, sent + depth + h))
+
+        def arrived(time: float) -> None:
+            follow_ups = on_arrival(time)
+            if not follow_ups:
+                settled(time, 0)
+                return
+            pending = {"count": len(follow_ups), "finish": time, "hops": 0}
+
+            def merged(end: float, hops: int) -> None:
+                pending["count"] -= 1
+                pending["finish"] = max(pending["finish"], end)
+                pending["hops"] = max(pending["hops"], hops)
+                if pending["count"] == 0:
+                    settled(pending["finish"], pending["hops"])
+
+            for follow_up in follow_ups:
+                self._run_chain(follow_up, time, wave, merged)
+
+        if len(hops) == 1:  # what chain() does for one hop, without its closures
+            self.send_at(at, *hops[0], kind, size, on_delivered=arrived)
+        else:
+            self.chain(hops, kind, size, at=at, on_done=arrived)
 
     def run(self, until: float | None = None) -> None:
         """Drain scheduled events (up to ``until``), advancing the clock."""

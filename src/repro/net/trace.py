@@ -51,8 +51,8 @@ class Trace:
     def parallel(branches: "list[Trace] | tuple[Trace, ...]") -> "Trace":
         """Concurrent composition: all branches start at the same instant."""
         branches = list(branches)
-        if not branches:
-            return Trace.ZERO
+        if len(branches) < 2:
+            return branches[0] if branches else Trace.ZERO
         return Trace(
             messages=sum(b.messages for b in branches),
             hops=max(b.hops for b in branches),

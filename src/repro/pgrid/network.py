@@ -32,10 +32,12 @@ Every data operation runs in one of two execution models:
   accounting are identical in both models; only how latency arises differs.
 
 Routed operations describe their messages once, as
-:data:`~repro.net.scheduler.ChainSpec` chains — per region its hops, the
-destination-side work, and the follow-up sends that work returns — and hand
-them to :meth:`PGridNetwork.run_chains`, the one place that picks the
-interpreter: :meth:`Network.run_chains <repro.net.network.Network.run_chains>`
+:class:`~repro.net.scheduler.ChainSpec` chains — per region its hops, the
+destination-side work, and the follow-up chains that work returns (a
+shower's tree edges nest this way and name a reply) — and hand them to
+:meth:`PGridNetwork.run_chains`, the one place that picks the interpreter
+(:meth:`PGridNetwork.ship` / :meth:`PGridNetwork.ship_many` send one-hop
+chains through it too): :meth:`Network.run_chains <repro.net.network.Network.run_chains>`
 or :meth:`EventScheduler.run_chains
 <repro.net.scheduler.EventScheduler.run_chains>`.  Each interpreter draws
 latency jitter in its own order (depth first, or firing order).
@@ -50,7 +52,7 @@ from typing import Iterator
 
 from repro.errors import RoutingError
 from repro.net.network import Network
-from repro.net.scheduler import ChainSpec, EventScheduler, PartialChain, Sends, then_send
+from repro.net.scheduler import ChainSpec, EventScheduler, PartialChain, Sends, message, then_send
 from repro.net.simulator import EventSimulator
 from repro.net.trace import Trace
 from repro.pgrid.datastore import Entry, newest
@@ -137,18 +139,17 @@ class PGridNetwork:
         return runner.run_chains(chains, untracked)
 
     def ship(self, src_id: str, dst_id: str, kind: str, size: int = 1) -> Trace:
-        """One accounted message in the active execution model."""
-        if self.scheduler is None or src_id == dst_id:
-            return self.net.send(src_id, dst_id, kind, size)
-        return self.scheduler.fanout([(src_id, dst_id, kind, size)])
+        """One accounted message in the active execution model (a local one is
+        free: ``Trace.ZERO``, which an event-mode wave would stamp with a time)."""
+        if src_id == dst_id:
+            return Trace.ZERO
+        return self.run_chains([message(src_id, dst_id, kind, size)])
 
-    def ship_many(self, sends: list[tuple[str, str, str, int]]) -> Trace:
+    def ship_many(self, sends: Sends) -> Trace:
         """Concurrent ``(src, dst, kind, size)`` messages; completes at the max."""
         if not sends:
             return Trace.ZERO
-        if self.scheduler is None:
-            return Trace.parallel([self.net.send(*send) for send in sends])
-        return self.scheduler.fanout(sends)
+        return self.run_chains([message(*send) for send in sends])
 
     # -- membership ----------------------------------------------------------
 
@@ -246,11 +247,11 @@ class PGridNetwork:
         try:
             destination, hops = route_hops(start, point_key(key))
         except RoutingError as error:
-            error.trace = self.run_chains([(error.hops, kind, 1, then_send())])
+            error.trace = self.run_chains([ChainSpec(error.hops, kind)])
             raise
         policy = self.replica_diffusion if diffusion is None else diffusion
         destination, hops = self._diffuse(destination, hops, policy, observer=start.node_id)
-        trace = self.run_chains([(hops, kind, 1, then_send())])
+        trace = self.run_chains([ChainSpec(hops, kind)])
         return destination.store.get(key), trace, destination
 
     # -- bulk data operations (destination-grouped, message-accounted) ---------
@@ -276,7 +277,7 @@ class PGridNetwork:
                     start, point_key(representative), rng=rng or self.rng
                 )
             except RoutingError as error:
-                error.trace = self.run_chains([(error.hops, kind, 1, then_send())])
+                error.trace = self.run_chains([ChainSpec(error.hops, kind)])
                 raise
             # Point semantics (zero-padded comparison), matching the route
             # above: a key is covered iff this leaf holds its point.
@@ -344,7 +345,7 @@ class PGridNetwork:
                 for item_id, value in by_key[key]
             ]
             _changed, pushes = self._write_group(destination, kind, entries)
-            chains.append((hops, kind, len(entries), then_send(pushes)))
+            chains.append(ChainSpec(hops, kind, len(entries), then_send(pushes)))
         return self.run_chains(chains)
 
     def lookup_many(
@@ -382,7 +383,7 @@ class PGridNetwork:
                 _time: float,
                 destination: PGridPeer = destination,
                 region_keys: list[str] = region_keys,
-            ) -> list[tuple[str, str, str, int]]:
+            ) -> list[ChainSpec]:
                 found = 0
                 for key in region_keys:
                     entries = destination.store.get(key)
@@ -390,9 +391,9 @@ class PGridNetwork:
                     found += len(entries)
                 if destination is start:
                     return []
-                return [(destination.node_id, start.node_id, kind, max(1, found))]
+                return [message(destination.node_id, start.node_id, kind, max(1, found))]
 
-            chains.append((hops, kind, len(region_keys), arrived))
+            chains.append(ChainSpec(hops, kind, len(region_keys), arrived))
         return results, self.run_chains(chains)
 
     def delete(self, key: str, item_id: str, start: PGridPeer | None = None) -> tuple[bool, Trace]:

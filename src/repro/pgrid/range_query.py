@@ -19,16 +19,17 @@ subtree was unreachable (all its replicas offline), matching the paper's
 best-effort guarantee discussion.
 
 The shower's fan-out tree is chosen once, without sending anything
-(:func:`_expand_shower`), and then interpreted in the active execution model:
-a depth-first trace interpreter composes the edges with ``Trace.parallel``,
-and in event-driven mode (:meth:`PGridNetwork.event_driven`) every edge
-departs when its parent actually received the query, sibling subtrees race
-each other, and the query completes when the last result funnels back.  The
-tree (which references are chosen) is identical in both models, so message
-counts agree; each interpreter draws latency jitter in its own order (depth
-first, or firing order).  The sequential walk is a series of routes, each
-charged through :meth:`PGridNetwork.run_chains`, the one chain form both
-models share.
+(:func:`_expand_shower`), and then sent as one
+:class:`~repro.net.scheduler.ChainSpec` per tree edge through
+:meth:`PGridNetwork.run_chains`, the one chain form both execution models
+share.  An edge's arrival serves the child's slice and returns the child's
+own edges; in collect mode the edge's reply carries the subtree's result
+back once the subtree completed.  In event-driven mode
+(:meth:`PGridNetwork.event_driven`) sibling subtrees therefore race each
+other and the query completes when the last result funnels back.  Both
+models send the identical tree, so message counts agree; each draws latency
+jitter in its own order (depth first, or firing order).  The sequential
+walk is a series of routes through the same chains.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import RoutingError
-from repro.net.network import Network
-from repro.net.scheduler import EventScheduler
+from repro.net.scheduler import ChainSpec
 from repro.net.trace import Trace
 from repro.pgrid.datastore import Entry
 from repro.pgrid.keys import KeyRange, increment_path
@@ -90,18 +90,36 @@ def _shower(
     collect: bool,
     groups: list[tuple[str, list[Entry]]] | None,
 ) -> tuple[list[Entry], Trace, bool]:
-    """Expand the fan-out tree, then interpret it in the active model.
+    """Expand the fan-out tree, then run it as one chain per edge.
 
-    With ``collect`` the results flow back along the fan-out tree (one send
-    per edge, sized by the subtree's result); otherwise they stay at the
-    serving peers and are appended to ``groups``.
+    An edge's arrival serves the child's slice and returns the child's own
+    edges.  With ``collect`` the edge's reply carries the child's subtree
+    result back (sized by it) once the subtree completed, merging it into
+    the parent's entries on arrival; otherwise results stay at the serving
+    peers and are appended to ``groups``.
     """
     start = start or pnet.random_online_peer()
     tree = _expand_shower(pnet, start, key_range, cover="", rng=rng or pnet.rng)
-    if pnet.scheduler is None:
-        entries, trace = _trace_shower(pnet.net, tree, kind, collect, groups)
-    else:
-        entries, trace = _event_shower(pnet.scheduler, tree, kind, collect, groups)
+
+    def serve(node: _ShowerNode, entries: list[Entry]) -> list[ChainSpec]:
+        if groups is not None and node.local:
+            groups.append((node.peer.node_id, node.local))
+        if collect:
+            entries.extend(node.local)
+        return [edge(node.peer.node_id, child, entries) for child in node.children]
+
+    def edge(parent_id: str, child: _ShowerNode, entries: list[Entry]) -> ChainSpec:
+        found: list[Entry] = []
+        child_id = child.peer.node_id
+        reply = None
+        if collect:
+            reply = ChainSpec(
+                [(child_id, parent_id)], kind, max(1, child.found), lambda _t: entries.extend(found)
+            )
+        return ChainSpec([(parent_id, child_id)], kind, 1, lambda _t: serve(child, found), reply)
+
+    entries: list[Entry] = []
+    trace = pnet.run_chains(serve(tree, entries))
     return entries, trace, tree.complete
 
 
@@ -110,8 +128,9 @@ class _ShowerNode:
     """One visited peer in a pre-expanded shower fan-out tree."""
 
     peer: PGridPeer
-    cover: str
     local: list[Entry]
+    #: Entries in this node's whole subtree (the size of its reply).
+    found: int
     children: list["_ShowerNode"] = field(default_factory=list)
     complete: bool = True
 
@@ -131,7 +150,8 @@ def _expand_shower(
     interpret the same tree (and therefore send the identical messages);
     only *when* each edge fires differs.
     """
-    node = _ShowerNode(peer=peer, cover=cover, local=peer.store.scan(key_range))
+    local = peer.store.scan(key_range)
+    node = _ShowerNode(peer=peer, local=local, found=len(local))
     for level in range(len(cover), len(peer.path)):
         subtree = peer.required_prefix(level)
         if not key_range.intersects_path(subtree):
@@ -146,135 +166,8 @@ def _expand_shower(
         child = _expand_shower(pnet, child_peer, key_range, subtree, rng)
         node.children.append(child)
         node.complete = node.complete and child.complete
+        node.found += child.found
     return node
-
-
-def _trace_shower(
-    net: Network,
-    node: _ShowerNode,
-    kind: str,
-    collect: bool,
-    groups: list[tuple[str, list[Entry]]] | None,
-) -> tuple[list[Entry], Trace]:
-    """Depth-first trace interpreter: each edge is sent when it is visited."""
-    if groups is not None and node.local:
-        groups.append((node.peer.node_id, node.local))
-    entries = list(node.local) if collect else []
-    branches: list[Trace] = []
-    for child in node.children:
-        hop = net.send(node.peer.node_id, child.peer.node_id, kind, size=1)
-        child_entries, child_trace = _trace_shower(net, child, kind, collect, groups)
-        branch = hop.then(child_trace)
-        if collect:
-            # Results return along the tree edge; size reflects the payload.
-            back = net.send(child.peer.node_id, node.peer.node_id, kind, max(1, len(child_entries)))
-            branch = branch.then(back)
-            entries.extend(child_entries)
-        branches.append(branch)
-    return entries, Trace.parallel(branches)
-
-
-def _event_shower(
-    scheduler: EventScheduler,
-    tree: _ShowerNode,
-    kind: str,
-    collect: bool,
-    groups: list[tuple[str, list[Entry]]] | None,
-) -> tuple[list[Entry], Trace]:
-    """Run a shower fan-out as interleaved events on the simulated clock.
-
-    Each tree edge departs at the instant its parent received the query, so
-    sibling subtrees race; with ``collect`` the results funnel back along
-    the tree and a node completes when its slowest child's reply lands.
-    The returned trace carries the *measured* latency and completion time,
-    with the messages and critical-path hops counted as they are sent.
-    """
-    start_time = scheduler.now
-    outcome: dict = {"messages": 0}
-
-    def finished(entries: list[Entry], time: float, hops: int) -> None:
-        outcome.update(entries=entries, time=time, hops=hops)
-
-    _schedule_shower_node(scheduler, tree, start_time, kind, collect, groups, outcome, finished)
-    scheduler.run()
-    completion = outcome["time"]
-    trace = Trace(
-        messages=outcome["messages"],
-        hops=outcome["hops"],
-        latency=completion - start_time,
-        completion_time=completion,
-    )
-    return outcome["entries"], trace
-
-
-def _schedule_shower_node(
-    scheduler: EventScheduler,
-    node: _ShowerNode,
-    at: float,
-    kind: str,
-    collect: bool,
-    groups: list[tuple[str, list[Entry]]] | None,
-    outcome: dict,
-    on_done,
-) -> None:
-    """Serve ``node`` at instant ``at``; call ``on_done(entries, time, hops)``.
-
-    Runs inside the event loop: forward edges to all children depart at
-    ``at`` concurrently, every child recursively schedules its own subtree
-    on arrival, and (with ``collect``) the node completes when the last
-    funnel-back reply has been delivered.  ``hops`` is the subtree's
-    critical path; every message sent is counted in ``outcome``.
-    """
-    if groups is not None and node.local:
-        groups.append((node.peer.node_id, node.local))
-    entries = list(node.local) if collect else []
-    if not node.children:
-        on_done(entries, at, 0)
-        return
-    pending = {"count": len(node.children), "finish": at, "hops": 0}
-
-    def merged(child_entries: list[Entry], time: float, hops: int) -> None:
-        if collect:
-            entries.extend(child_entries)
-        pending["count"] -= 1
-        pending["finish"] = max(pending["finish"], time)
-        pending["hops"] = max(pending["hops"], hops)
-        if pending["count"] == 0:
-            on_done(entries, pending["finish"], pending["hops"])
-
-    def child_done(child: _ShowerNode, child_entries: list[Entry], time: float, hops: int) -> None:
-        if collect:
-            # Results return along the tree edge; size reflects the payload.
-            outcome["messages"] += 1
-            scheduler.send_at(
-                time,
-                child.peer.node_id,
-                node.peer.node_id,
-                kind,
-                max(1, len(child_entries)),
-                on_delivered=lambda arrival: merged(child_entries, arrival, hops + 2),
-            )
-        else:
-            merged(child_entries, time, hops + 1)
-
-    for child in node.children:
-
-        def arrived(time: float, child: _ShowerNode = child) -> None:
-            _schedule_shower_node(
-                scheduler,
-                child,
-                time,
-                kind,
-                collect,
-                groups,
-                outcome,
-                lambda child_entries, done_time, hops, child=child: child_done(
-                    child, child_entries, done_time, hops
-                ),
-            )
-
-        outcome["messages"] += 1
-        scheduler.send_at(at, node.peer.node_id, child.peer.node_id, kind, 1, on_delivered=arrived)
 
 
 def range_query_sequential_groups(
@@ -324,13 +217,17 @@ def _sequential_walk(
     except RoutingError as error:
         return [], getattr(error, "trace", Trace.ZERO), False
 
-    for _step in range(MAX_SEQUENTIAL_LEAVES):
+    for visited in range(1, MAX_SEQUENTIAL_LEAVES + 1):
         local = current.store.scan(key_range)
         if groups is not None and local:
             groups.append((current.node_id, local))
         entries.extend(local)
         next_key = increment_path(current.path)
         if next_key is None or not key_range.contains(next_key):
+            break
+        if visited == MAX_SEQUENTIAL_LEAVES:
+            # The bound stops the walk short of the range's right edge.
+            complete = False
             break
         try:
             current, hop_trace = route(

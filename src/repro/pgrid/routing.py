@@ -34,9 +34,11 @@ operations in :mod:`repro.pgrid.network`:
 * **deferred accounting** — :func:`route_hops` discovers the hop sequence
   without sending anything, so bulk operations can group keys by destination
   first and then charge each route *once per region* with the region's real
-  batch size.  Every routed operation hands its routes to one interpreter as
-  :data:`~repro.net.scheduler.ChainSpec` chains (hops, then the follow-up
-  sends an arrival action returns): :meth:`Network.run_chains
+  batch size.  Every routed operation, the shower range query included,
+  hands its routes to one interpreter as
+  :class:`~repro.net.scheduler.ChainSpec` chains (hops, then the follow-up
+  chains an arrival action returns, then an optional reply):
+  :meth:`Network.run_chains
   <repro.net.network.Network.run_chains>` composes the traces analytically,
   :meth:`EventScheduler.run_chains
   <repro.net.scheduler.EventScheduler.run_chains>` runs them as interleaved
@@ -50,7 +52,7 @@ import random
 from collections import OrderedDict
 
 from repro.errors import RoutingError
-from repro.net.scheduler import ChainRunner, then_send
+from repro.net.scheduler import ChainRunner, ChainSpec
 from repro.net.trace import Trace
 from repro.pgrid.keys import common_prefix_length, responsible
 from repro.pgrid.peer import PGridPeer
@@ -265,6 +267,6 @@ def route(
     try:
         destination, hops = route_hops(start, key, rng=rng)
     except RoutingError as error:
-        error.trace = runner.run_chains([(error.hops, kind, size, then_send())])
+        error.trace = runner.run_chains([ChainSpec(error.hops, kind, size)])
         raise
-    return destination, runner.run_chains([(hops, kind, size, then_send())])
+    return destination, runner.run_chains([ChainSpec(hops, kind, size)])

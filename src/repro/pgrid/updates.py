@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from repro.net.scheduler import Sends
+from repro.net.scheduler import ChainSpec, message
 from repro.pgrid.datastore import newest
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
@@ -49,13 +49,13 @@ def anti_entropy_round(pnet: PGridNetwork, rng: random.Random | None = None) -> 
     rng = rng or pnet.rng
     transferred = 0
 
-    def reconcile(peer: PGridPeer, partner: PGridPeer, _time: float) -> Sends:
+    def reconcile(peer: PGridPeer, partner: PGridPeer, _time: float) -> list[ChainSpec]:
         nonlocal transferred
         if not (peer.online and partner.online):
             return []
         moved = sync_pair(peer, partner)
         transferred += moved
-        return [(partner.node_id, peer.node_id, "anti-entropy", max(1, moved))]
+        return [message(partner.node_id, peer.node_id, "anti-entropy", max(1, moved))]
 
     chains = []
     for peer in pnet.online_peers():
@@ -63,7 +63,7 @@ def anti_entropy_round(pnet: PGridNetwork, rng: random.Random | None = None) -> 
         if partners:
             partner = pnet.peer(rng.choice(partners))
             digest = [(peer.node_id, partner.node_id)]
-            chains.append((digest, "anti-entropy", 1, partial(reconcile, peer, partner)))
+            chains.append(ChainSpec(digest, "anti-entropy", 1, partial(reconcile, peer, partner)))
     pnet.run_chains(chains)
     return transferred
 

@@ -186,7 +186,7 @@ class RehashJoin(_JoinBase):
                         sends = [(producer.node_id, dest.node_id, "join-rehash", len(bucket))]
                     else:
                         sends = []
-                    chains.append((hops, "join-rehash", 1, then_send(sends)))
+                    chains.append(ChainSpec(hops, "join-rehash", 1, then_send(sends)))
                     for row in bucket:
                         arrivals[rendezvous_id][str(value_key)].append((row, is_left))
 

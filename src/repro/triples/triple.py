@@ -73,9 +73,13 @@ class Triple:
         ``has_published`` edges), so ``(oid, attribute)`` alone is not a key.
         Value updates are realized as delete + insert by the triple store
         (:meth:`DistributedTripleStore.update_value`), not by identity
-        collision.
+        collision.  An integral float is written as its int, because
+        equality treats ``1`` and ``1.0`` as the same triple.
         """
-        return f"{self.oid}\x03{self.attribute}\x03{self.value!r}"
+        value = self.value
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        return f"{self.oid}\x03{self.attribute}\x03{value!r}"
 
     def as_tuple(self) -> tuple[str, str, Value]:
         return (self.oid, self.attribute, self.value)

@@ -15,10 +15,12 @@ from repro.pgrid import (
     range_query_sequential,
     range_query_shower,
 )
+from repro.pgrid import range_query
 from repro.pgrid.range_query import (
     range_query_sequential_groups,
     range_query_shower_groups,
 )
+from repro.pgrid.routing import route
 
 
 def _loaded_network(num_peers=32, num_words=200, seed=7, replication=2):
@@ -109,6 +111,27 @@ class TestSequential:
         entries, _trace, complete = range_query_sequential(pnet, key_range)
         assert complete
         assert [e.value for e in entries] == [word]
+
+    def test_leaf_bound_stops_the_walk_incomplete(self, monkeypatch):
+        pnet, _words = _loaded_network(num_peers=16)
+        assert len(pnet.trie_paths()) > 2
+        routes = []
+
+        def counting_route(*args, **kwargs):
+            destination, trace = route(*args, **kwargs)
+            routes.append(destination.path)
+            return destination, trace
+
+        monkeypatch.setattr(range_query, "MAX_SEQUENTIAL_LEAVES", 2)
+        monkeypatch.setattr(range_query, "route", counting_route)
+        groups, _trace, complete = range_query_sequential_groups(
+            pnet, KeyRange.everything(), start=pnet.peers[0]
+        )
+        assert not complete
+        # The route to the first leaf, then one step to the second; no route
+        # to a third leaf the bound never lets the walk scan.
+        assert len(routes) == 2
+        assert {pnet.peer(peer_id).path for peer_id, _ in groups} <= set(routes)
 
 
 class TestGroupsMode:

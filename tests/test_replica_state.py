@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro import UniStore
 from repro.errors import NodeUnreachableError, RoutingError
-from repro.net.scheduler import then_send
+from repro.net.scheduler import ChainSpec, then_send
 from repro.pgrid import build_network, bulk_load, encode_string
 from repro.pgrid.construction import bootstrap_exchange, exchange
 from repro.pgrid.datastore import DataStore, Entry, newest
@@ -275,7 +275,7 @@ def ref_insert_many(pnet, items, start):
             for entry in entries:
                 replica.store.put(entry)
             pushes.append((destination.node_id, replica_id, "insert", len(entries)))
-        chains.append((hops, "insert", len(entries), then_send(pushes)))
+        chains.append(ChainSpec(hops, "insert", len(entries), then_send(pushes)))
     return pnet.run_chains(chains)
 
 

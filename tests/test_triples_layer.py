@@ -192,6 +192,23 @@ class TestDistributedStore:
         assert store.by_attribute_value("k", "v")[0] == []
         assert store.by_value("v")[0] == []
 
+    def test_int_and_integral_float_values_are_one_triple(self):
+        # Triple equality treats 1 and 1.0 as the same value, so they must
+        # share one item id: stored once per key, and one delete removes it.
+        store = DistributedTripleStore(build_network(8, replication=2, seed=3))
+        store.insert(Triple("o", "a", 1))
+        store.insert(Triple("o", "a", 1.0))
+        ids_by_key: dict[str, set[str]] = {}
+        for peer in store.pnet.peers:
+            for entry in peer.store:
+                ids_by_key.setdefault(entry.key, set()).add(entry.item_id)
+        assert {oid_key("o"), av_key("a", 1), v_key(1)} <= set(ids_by_key)
+        assert all(len(ids) == 1 for ids in ids_by_key.values())
+        store.delete(Triple("o", "a", 1.0))
+        assert store.by_oid("o")[0] == []
+        assert store.by_attribute_value("a", 1)[0] == []
+        assert store.by_value(1)[0] == []
+
     def test_bulk_insert_equivalent_to_routed(self, store):
         triples = [Triple(f"o{i}", "n", i) for i in range(10)]
         store.bulk_insert(triples)
