@@ -262,14 +262,7 @@ class UniStore:
             query, expansion_trace = self._expand_query(query)
 
         coordinator = coordinator or self.pnet.random_online_peer(self.rng)
-        ctx = ExecutionContext(
-            store=self.store,
-            coordinator=coordinator,
-            rng=self.rng,
-            range_algorithm=(
-                config.range_algorithm if config and config.range_algorithm else "shower"
-            ),
-        )
+        ctx = ExecutionContext(store=self.store, coordinator=coordinator, rng=self.rng)
 
         logical = rewrite(build_plan(query))
         if mode == "reference":

@@ -20,27 +20,34 @@ Two arrival processes:
 Operations route as they launch (hop discovery uses the overlay state *at
 launch time*), pick keys Zipf-skewed so popular keys create hot regions, and
 optionally spread reads over replica groups
-(:func:`~repro.load.diffusion.diffuse_route`).  Churn composes: a
-:class:`~repro.net.churn.ChurnModel` session trace can be replayed on the
-same simulator (``run(churn_trace=...)``), and every hop re-validates
-liveness at delivery time — an operation that lands on a peer that died
-mid-flight re-routes from its previous hop (bounded retries), so no
-in-flight operation is ever silently lost: every :class:`OpRecord` ends
-completed or failed, deterministically.
+(:func:`~repro.load.diffusion.diffuse_route`).  Each routed leg is one
+:class:`~repro.net.scheduler.ChainSpec` started with ``scheduler.chain``:
+its hops, then an arrival that reads the store and returns the ``result``
+reply chain.  Churn composes: a :class:`~repro.net.churn.ChurnModel`
+session trace can be replayed on the same simulator
+(``run(churn_trace=...)``).  A leg's ``on_lost`` handler has every hop
+checked; a hop lost to churn or to admission control hands the operation
+to the leg the handler returns — a re-route from the previous hop, or a
+retry at another replica (both bounded) — and a failed route's replay ends
+at its first lost hop.  So no in-flight operation is ever silently lost:
+every :class:`OpRecord` ends completed or failed, deterministically.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.bench.harness import mean, percentile
 from repro.bench.workloads import poisson_arrivals, zipf_cumulative, zipf_rank
 from repro.errors import RoutingError
 from repro.load.diffusion import diffuse_route, pick_member
 from repro.net.churn import ChurnEvent, ChurnModel
+from repro.net.scheduler import ChainSpec
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
+from repro.pgrid.replication import online_group
 from repro.pgrid.routing import point_key, route_hops
 
 #: A flapping overlay could re-route an operation forever; bound it.
@@ -113,7 +120,7 @@ def goodput(records: list[OpRecord], slo: float, horizon: float) -> float:
 
 
 class _OpEngine:
-    """Shared launch/hop/arrive machinery behind both drivers."""
+    """Shared launch/route/arrive machinery behind both drivers."""
 
     def __init__(
         self,
@@ -134,7 +141,8 @@ class _OpEngine:
     def launch(self, record: OpRecord, start: PGridPeer, on_done=None) -> None:
         """Start one operation now; ``on_done(record)`` fires at completion."""
         self.records.append(record)
-        self._route_leg(record, start, start, self.scheduler.now, on_done)
+        for leg in self._route_leg(record, start, start, self.scheduler.now, on_done):
+            self.scheduler.chain(leg)
 
     def _finish(self, record: OpRecord, time: float, ok: bool, error: str | None, on_done) -> None:
         record.completed = time
@@ -152,16 +160,17 @@ class _OpEngine:
         origin: PGridPeer,
         time: float,
         on_done,
-    ) -> None:
-        """Discover (and maybe diffuse) a route from ``current``, then walk it."""
+    ) -> list[ChainSpec]:
+        """Discover (and maybe diffuse) a route from ``current``: its leg."""
         try:
             destination, hops = route_hops(current, point_key(record.key), rng=self.rng)
         except RoutingError as error:
-            # The partial hops were travelled before the dead end; account
-            # them as an untracked chain so message totals stay honest.
-            self._account_partial(getattr(error, "hops", []), time)
+            # The hops travelled before the dead end are replayed so message
+            # totals stay honest; the replay ends at its first lost hop.
+            replay = ChainSpec(getattr(error, "hops", []), LOOKUP_KIND, on_lost=lambda *_: None)
+            self.scheduler.chain(replay, at=time)
             self._finish(record, time, ok=False, error=str(error), on_done=on_done)
-            return
+            return []
         destination, hops = diffuse_route(
             destination,
             hops,
@@ -172,77 +181,40 @@ class _OpEngine:
             hints=self.pnet.net.hints,
             observer=origin.node_id,
         )
-        self._walk(record, destination, hops, 0, origin, time, on_done)
-
-    def _account_partial(self, hops: list[tuple[str, str]], time: float) -> None:
-        """Replay the hops of a failed route, liveness-checked per hop.
-
-        Unlike ``scheduler.chain`` this stops (instead of raising inside the
-        simulator) when churn kills a hop's destination before the message
-        reaches it, so one dead-end route can never crash the whole run.
-        """
-
-        def step(index: int, at: float) -> None:
-            if index == len(hops):
-                return
-            src_id, dst_id = hops[index]
-            dst = self.pnet.net.nodes.get(dst_id)
-            if dst is None or not dst.online:
-                return
-            self.scheduler.send_at(
-                at, src_id, dst_id, LOOKUP_KIND, 1, on_delivered=lambda t: step(index + 1, t)
-            )
-
-        step(0, time)
+        return [self._walk(record, destination, hops, origin, on_done)]
 
     def _walk(
         self,
         record: OpRecord,
         destination: PGridPeer,
         hops: list[tuple[str, str]],
-        index: int,
         origin: PGridPeer,
-        time: float,
         on_done,
-    ) -> None:
-        """Traverse one hop, re-validating liveness at every delivery."""
-        if index == len(hops):
-            self._arrive(record, destination, origin, time, on_done)
-            return
-        src_id, dst_id = hops[index]
-        dst = self.pnet.net.nodes.get(dst_id)
-        if dst is None or not dst.online or not isinstance(dst, PGridPeer):
-            self._reroute(record, src_id, origin, time, on_done)
-            return
+    ) -> ChainSpec:
+        """The leg that walks ``hops`` to ``destination`` and reads there."""
 
-        def delivered(at: float) -> None:
-            if not dst.online:
-                # The peer died while the message was in flight or queued;
-                # its drained work is redone from the previous hop.
-                self._reroute(record, src_id, origin, at, on_done)
-                return
-            self._walk(record, destination, hops, index + 1, origin, at, on_done)
+        def lost(index: int, rejected: bool, time: float) -> list[ChainSpec]:
+            if rejected:
+                return self._rejected(record, destination, hops, index, origin, time, on_done)
+            # The hop's peer died before serving it: redo from the previous hop.
+            return self._reroute(record, hops[index][0], origin, time, on_done)
 
-        def rejected(at: float) -> None:
-            self._rejected(record, src_id, dst_id, destination, hops, index, origin, at, on_done)
+        def arrived(time: float) -> list[ChainSpec]:
+            return self._arrive(record, destination, origin, time, on_done)
 
-        self.scheduler.send_at(
-            time, src_id, dst_id, LOOKUP_KIND, 1, on_delivered=delivered, on_rejected=rejected
-        )
+        return ChainSpec(hops, LOOKUP_KIND, 1, arrived, on_lost=lost)
 
     def _rejected(
         self,
         record: OpRecord,
-        src_id: str,
-        dst_id: str,
         destination: PGridPeer,
         hops: list[tuple[str, str]],
         index: int,
         origin: PGridPeer,
         time: float,
         on_done,
-    ) -> None:
-        """The peer at ``dst_id`` shed this operation's hop; retry elsewhere.
+    ) -> list[ChainSpec]:
+        """Hop ``index`` was shed by its destination; the leg that retries.
 
         A reject at the *final* hop retries another member of the responsible
         replica group (every member holds the data); a reject at a transit
@@ -252,42 +224,34 @@ class _OpEngine:
         fails the operation *reported* (``error="rejected"``), never
         silently.
         """
+        src_id, dst_id = hops[index]
         record.rejections += 1
         record.rejected_by.append(dst_id)
         if record.rejections > MAX_REJECT_RETRIES:
             self._finish(
                 record, time, ok=False, error="rejected: retry budget exhausted", on_done=on_done
             )
-            return
+            return []
         src = self.pnet.net.nodes.get(src_id)
         if src is None or not src.online:
-            self._reroute(record, src_id, origin, time, on_done)
-            return
+            return self._reroute(record, src_id, origin, time, on_done)
         final_hop = index == len(hops) - 1 and dst_id == destination.node_id
         if final_hop:
-            alternative = self._alternative_member(record, destination, src_id)
+            alternative = self._alternative_member(record, destination, src_id, time)
             if alternative is not None:
-                self._walk(
-                    record,
-                    alternative,
-                    [(src_id, alternative.node_id)],
-                    0,
-                    origin,
-                    time,
-                    on_done,
-                )
-                return
+                retry = [(src_id, alternative.node_id)]
+                return [self._walk(record, alternative, retry, origin, on_done)]
             self._finish(
                 record, time, ok=False, error="rejected: no replica admitted", on_done=on_done
             )
-            return
+            return []
         # Transit-hop reject: route again from the sender.
-        self._route_leg(record, src, origin, time, on_done)
+        return self._route_leg(record, src, origin, time, on_done)
 
     def _alternative_member(
-        self, record: OpRecord, destination: PGridPeer, chooser_id: str
+        self, record: OpRecord, destination: PGridPeer, chooser_id: str, time: float
     ) -> PGridPeer | None:
-        """An untried replica-group member to retry a shed read at.
+        """An untried replica-group member to retry a shed read at ``time``.
 
         The chooser is the peer that received the reject NACK and sends the
         retry hop; its hint table is ranked when a registry is attached (the
@@ -296,8 +260,6 @@ class _OpEngine:
         gateway).  The oracle ranks under the ``least-busy-oracle``
         diffusion policy; otherwise the pick is uniform.
         """
-        from repro.pgrid.replication import online_group  # deferred: pgrid imports load
-
         members = [p for p in online_group(destination) if p.node_id not in record.rejected_by]
         if not members:
             return None
@@ -313,50 +275,44 @@ class _OpEngine:
             policy,
             rng=self.rng,
             load=self.scheduler.load,
-            now=self.scheduler.now,
+            now=time,
             hints=hints,
             observer=chooser_id,
         )
 
-    def _reroute(self, record: OpRecord, from_id: str, origin: PGridPeer, time, on_done) -> None:
-        """Re-route after a mid-flight failure, from the last live hop."""
+    def _reroute(
+        self, record: OpRecord, from_id: str, origin: PGridPeer, time: float, on_done
+    ) -> list[ChainSpec]:
+        """The leg that re-routes after a mid-flight failure, from the last live hop."""
         record.reroutes += 1
         if record.reroutes > MAX_REROUTES:
             self._finish(record, time, ok=False, error="too many reroutes", on_done=on_done)
-            return
+            return []
         peer = self.pnet.net.nodes.get(from_id)
         if peer is None or not peer.online or not isinstance(peer, PGridPeer):
             peer = origin if origin.online else None
         if peer is None:
             self._finish(record, time, ok=False, error="initiator offline", on_done=on_done)
-            return
-        self._route_leg(record, peer, origin, time, on_done)
+            return []
+        return self._route_leg(record, peer, origin, time, on_done)
 
     # -- destination work ----------------------------------------------------
 
     def _arrive(
         self, record: OpRecord, destination: PGridPeer, origin: PGridPeer, time: float, on_done
-    ) -> None:
+    ) -> list[ChainSpec]:
+        """Read the key at ``destination``; the ``result`` reply chain."""
         entries = destination.store.get(record.key)
         record.entries = len(entries)
         if destination is origin:
             self._finish(record, time, ok=True, error=None, on_done=on_done)
-            return
+            return []
         if not origin.online:
             self._finish(record, time, ok=False, error="initiator offline", on_done=on_done)
-            return
-
-        def replied(at: float) -> None:
-            self._finish(record, at, ok=True, error=None, on_done=on_done)
-
-        self.scheduler.send_at(
-            time,
-            destination.node_id,
-            origin.node_id,
-            RESULT_KIND,
-            max(1, len(entries)),
-            on_delivered=replied,
-        )
+            return []
+        replied = partial(self._finish, record, ok=True, error=None, on_done=on_done)
+        reply = [(destination.node_id, origin.node_id)]
+        return [ChainSpec(reply, RESULT_KIND, max(1, len(entries)), replied)]
 
 
 class _DriverBase:

@@ -148,7 +148,7 @@ class Network:
         return trace
 
     def _run_chain(self, chain: ChainSpec, at: float) -> Trace:
-        hops, kind, size, on_arrival, reply = chain
+        hops, kind, size, on_arrival, reply, _on_lost = chain
         trace = self._send_hops(hops, kind, size)
         arrival = at + trace.latency
         follow_ups = on_arrival(arrival)

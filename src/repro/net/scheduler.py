@@ -15,7 +15,11 @@ The routed operations of :mod:`repro.pgrid` reach the scheduler through
 :meth:`EventScheduler.run_chains`, which runs the one :class:`ChainSpec`
 form (nested follow-up chains and replies, as the shower range query's tree
 edges use them) that :meth:`Network.run_chains
-<repro.net.network.Network.run_chains>` interprets analytically.
+<repro.net.network.Network.run_chains>` interprets analytically.  The load
+drivers start theirs with :meth:`EventScheduler.chain`, which neither
+drains nor measures.  One hop stepper walks every chain of several hops;
+with an ``on_lost`` handler it checks each hop, and a *lost* hop (see
+:class:`ChainSpec`) hands over to the chains the handler returns.
 
 Determinism: the simulator breaks time ties FIFO, every latency sample comes
 from the network's seeded RNGs, and deliveries are appended to
@@ -40,7 +44,8 @@ Two opt-in load-control layers ride on top (:mod:`repro.load.shedding`):
   :class:`~repro.load.shedding.ThresholdAdmission` *rejects* a delivered
   message, a NACK message of kind ``"reject"`` travels back to the sender —
   accounted like any other message — and the caller's ``on_rejected``
-  callback fires at its arrival, typically to retry another replica.  A
+  callback (a chain's ``on_lost``) fires at its arrival, typically to retry
+  another replica.  A
   reject with no ``on_rejected`` handler is parked instead (re-offered
   every :data:`PARK_PENALTY` seconds, force-admitted after
   :data:`MAX_PARK_ROUNDS` rounds), so plain data operations stay lossless.
@@ -101,6 +106,14 @@ class ChainSpec(NamedTuple):
     the destination-side work and returns the follow-up chains (or nothing),
     which depart together.  Once they have all completed, ``reply`` (if any)
     departs, and the chain completes when the reply does.
+
+    ``on_lost(index, rejected, time)`` makes the event interpreter check
+    every hop: hop ``index`` is *lost* when its destination is offline at
+    departure, goes offline before its delivery is serviced, or rejects it
+    (``rejected``, at the NACK's arrival).  The chains ``on_lost`` returns
+    take over like follow-ups.  Without it an offline destination raises
+    :class:`NodeUnreachableError` and a rejected hop is parked.  The
+    analytic interpreter loses no hops.
     """
 
     hops: Hops
@@ -108,6 +121,7 @@ class ChainSpec(NamedTuple):
     size: int = 1
     on_arrival: Callable[[float], "list[ChainSpec] | tuple | None"] = lambda _time: ()
     reply: "ChainSpec | None" = None
+    on_lost: "Callable[[int, bool, float], list[ChainSpec] | tuple | None] | None" = None
 
 
 #: A chain whose route failed: its partial ``(hops, kind, size)`` are sent
@@ -315,43 +329,15 @@ class EventScheduler:
             ),
         )
 
-    def chain(
-        self,
-        hops: list[tuple[str, str]],
-        kind: str,
-        size: int = 1,
-        at: float | None = None,
-        on_done: Completion | None = None,
-    ) -> None:
-        """Schedule a hop sequence as a callback chain starting at ``at``.
+    def chain(self, spec: ChainSpec, at: float | None = None) -> None:
+        """Start ``spec`` at ``at`` (default: now); nothing drains or waits.
 
-        Each delivery schedules the next hop, so independent chains
-        interleave hop-by-hop on the shared clock.  ``on_done`` fires with
-        the arrival instant of the last hop (or with the start instant for
-        an empty chain — still via the simulator, to keep ordering uniform).
+        Its follow-up chains start the same way.  As nothing waits for them,
+        ``spec`` names no ``reply``.  A chain with no hops arrives inline.
         """
-        start = self.now if at is None else at
-
-        def step(index: int, time: float) -> None:
-            if index == len(hops):
-                if on_done is not None:
-                    on_done(time)
-                return
-            src, dst = hops[index]
-            self.send_at(
-                time,
-                src,
-                dst,
-                kind,
-                size,
-                on_delivered=lambda arrival: step(index + 1, arrival),
-            )
-
-        if not hops:
-            if on_done is not None:
-                self.sim.schedule_at(start, lambda: on_done(start))
-            return
-        step(0, start)
+        if spec.reply is not None:
+            raise ValueError("a fire-and-forget chain has no reply: use run_chains")
+        _Walk(self, spec, None).step(self.now if at is None else at)
 
     def fanout(self, sends: Sends) -> Trace:
         """Run ``(src, dst, kind, size)`` messages as one wave from ``now``.
@@ -394,7 +380,7 @@ class EventScheduler:
         for chain in chains:
             self._run_chain(chain, start_time, wave, done)
         for hops, kind, size in untracked:
-            self.chain(hops, kind, size, at=start_time)
+            self.chain(ChainSpec(hops, kind, size), at=start_time)
         self.run()
         return Trace(
             messages=wave["messages"],
@@ -409,7 +395,7 @@ class EventScheduler:
         """Schedule ``chain`` from ``at``; ``on_done(time, hops)`` fires when it
         completes, with its critical-path hop count.  Messages are counted
         into ``wave`` as they are scheduled."""
-        hops, kind, size, on_arrival, reply = chain
+        hops, kind, size, on_arrival, reply, on_lost = chain
         sent = sum(src != dst for src, dst in hops)
         wave["messages"] += sent
 
@@ -419,8 +405,8 @@ class EventScheduler:
             else:
                 self._run_chain(reply, time, wave, lambda t, h: on_done(t, sent + depth + h))
 
-        def arrived(time: float) -> None:
-            follow_ups = on_arrival(time)
+        def arrived(time: float, lost: tuple[int, bool] | None = None) -> None:
+            follow_ups = on_arrival(time) if lost is None else on_lost(*lost, time)
             if not follow_ups:
                 settled(time, 0)
                 return
@@ -436,10 +422,14 @@ class EventScheduler:
             for follow_up in follow_ups:
                 self._run_chain(follow_up, time, wave, merged)
 
-        if len(hops) == 1:  # what chain() does for one hop, without its closures
+        if len(hops) == 1 and on_lost is None:  # one message: no stepper
             self.send_at(at, *hops[0], kind, size, on_delivered=arrived)
+        elif hops:
+            _Walk(self, chain, arrived).step(at)
         else:
-            self.chain(hops, kind, size, at=at, on_done=arrived)
+            # A wave's zero-hop chain arrives through the simulator, so its
+            # destination work runs after the whole wave has departed.
+            self.sim.schedule_at(at, lambda: arrived(at))
 
     def run(self, until: float | None = None) -> None:
         """Drain scheduled events (up to ``until``), advancing the clock."""
@@ -448,3 +438,54 @@ class EventScheduler:
     def pending(self) -> int:
         """Number of events still queued on the simulator."""
         return self.sim.pending()
+
+
+class _Walk:
+    """One chain stepping through its hops: the scheduler's one hop stepper.
+
+    Each delivery steps the next hop, so chains interleave hop by hop.  The
+    walk ends with ``arrived(time, lost)``, ``lost = (index, rejected)``
+    for a lost hop; a fire-and-forget walk (no ``arrived``) runs the
+    chain's ``on_arrival`` or ``on_lost`` and starts the chains they
+    return.  Its callbacks are bound methods: no event holds a cycle.
+    """
+
+    __slots__ = ("scheduler", "chain", "arrived", "index")
+
+    def __init__(self, scheduler: EventScheduler, chain: ChainSpec, arrived: Callable | None):
+        self.scheduler, self.chain, self.arrived, self.index = scheduler, chain, arrived, 0
+
+    def step(self, time: float) -> None:
+        """Hop ``index`` departs at ``time``, when its predecessor arrived."""
+        chain, index = self.chain, self.index
+        hops, checked = chain.hops, chain.on_lost is not None
+        nodes = self.scheduler.net.nodes
+        if checked and index and not nodes[hops[index - 1][1]].online:
+            self.end(time, (index - 1, False))  # died before it served the hop
+            return
+        if index == len(hops):
+            self.end(time)
+            return
+        src, dst = hops[index]
+        if checked:
+            node = nodes.get(dst)
+            if node is None or not node.online:
+                self.end(time, (index, False))
+                return
+        self.index = index + 1
+        rejected = self.rejected if checked else None
+        self.scheduler.send_at(time, src, dst, chain.kind, chain.size, self.step, rejected)
+
+    def rejected(self, time: float) -> None:
+        """The NACK of the hop in flight arrived: that hop is lost."""
+        self.end(time, (self.index - 1, True))
+
+    def end(self, time: float, lost: tuple[int, bool] | None = None) -> None:
+        """The chain arrived at ``time``, or lost hop ``lost``."""
+        if self.arrived is not None:
+            self.arrived(time, lost)
+            return
+        chain = self.chain
+        follow_ups = chain.on_arrival(time) if lost is None else chain.on_lost(*lost, time)
+        for follow_up in follow_ups or ():
+            self.scheduler.chain(follow_up, time)

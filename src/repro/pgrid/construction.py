@@ -218,9 +218,14 @@ def bulk_load(pnet: PGridNetwork, items: list[tuple[str, str, object]]) -> None:
 
 
 def exchange(
-    p: PGridPeer, q: PGridPeer, capacity: int, max_depth: int = 16, _depth: int = 0
+    pnet: PGridNetwork,
+    p: PGridPeer,
+    q: PGridPeer,
+    capacity: int,
+    max_depth: int = 16,
+    _depth: int = 0,
 ) -> None:
-    """One pairwise P-Grid exchange between peers ``p`` and ``q``.
+    """One pairwise P-Grid exchange between ``pnet``'s peers ``p`` and ``q``.
 
     Implements the three cases of Aberer's construction algorithm:
 
@@ -236,9 +241,9 @@ def exchange(
     if p.path == q.path:
         combined = p.load + q.load
         if combined > capacity and len(p.path) < max_depth:
-            _split_pair(p, q)
+            _split_pair(pnet, p, q)
         else:
-            _sync_replicas(p, q)
+            _sync_replicas(pnet, p, q)
         return
 
     if cpl == min(len(p.path), len(q.path)):
@@ -249,15 +254,15 @@ def exchange(
         shorter.set_path(shorter.path + flip(longer.path[level]))
         shorter.routing.add(level, longer.node_id)
         longer.routing.add(level, shorter.node_id)
-        _shed_misplaced(shorter, longer)
-        _shed_misplaced(longer, shorter)
+        _shed_misplaced(pnet, shorter, longer)
+        _shed_misplaced(pnet, longer, shorter)
         return
 
     # Diverging paths: mutual references at the divergence level.
     p.routing.add(cpl, q.node_id)
     q.routing.add(cpl, p.node_id)
-    _shed_misplaced(p, q)
-    _shed_misplaced(q, p)
+    _shed_misplaced(pnet, p, q)
+    _shed_misplaced(pnet, q, p)
     if _depth < 2:
         # Continue construction deeper, as the protocol prescribes: each peer
         # meets a reference of the other from the divergence level.
@@ -267,11 +272,11 @@ def exchange(
             if candidates:
                 partner = a.network.nodes[candidates[0]]
                 if isinstance(partner, PGridPeer) and partner.online:
-                    a.network.send(a.node_id, partner.node_id, "exchange", 1)
-                    exchange(a, partner, capacity, max_depth, _depth + 1)
+                    pnet.ship(a.node_id, partner.node_id, "exchange", 1)
+                    exchange(pnet, a, partner, capacity, max_depth, _depth + 1)
 
 
-def _split_pair(p: PGridPeer, q: PGridPeer) -> None:
+def _split_pair(pnet: PGridNetwork, p: PGridPeer, q: PGridPeer) -> None:
     """Equal-path peers split: p takes '0', q takes '1', exchanging data/refs."""
     base = p.path
     level = len(base)
@@ -288,11 +293,11 @@ def _split_pair(p: PGridPeer, q: PGridPeer) -> None:
     p.store.merge(q_give)
     q.store.merge(p_give)
     if p_give or q_give:
-        p.network.send(p.node_id, q.node_id, "exchange", max(1, len(p_give)))
-        q.network.send(q.node_id, p.node_id, "exchange", max(1, len(q_give)))
+        pnet.ship(p.node_id, q.node_id, "exchange", max(1, len(p_give)))
+        pnet.ship(q.node_id, p.node_id, "exchange", max(1, len(q_give)))
 
 
-def _sync_replicas(p: PGridPeer, q: PGridPeer) -> None:
+def _sync_replicas(pnet: PGridNetwork, p: PGridPeer, q: PGridPeer) -> None:
     """Equal-path peers below capacity become replicas and synchronise."""
     p.add_replica(q.node_id)
     q.add_replica(p.node_id)
@@ -300,16 +305,16 @@ def _sync_replicas(p: PGridPeer, q: PGridPeer) -> None:
     p.adopt_refs(q)
     q.adopt_refs(p)
     if transferred:
-        p.network.send(p.node_id, q.node_id, "exchange", transferred)
+        pnet.ship(p.node_id, q.node_id, "exchange", transferred)
 
 
-def _shed_misplaced(giver: PGridPeer, taker: PGridPeer) -> None:
+def _shed_misplaced(pnet: PGridNetwork, giver: PGridPeer, taker: PGridPeer) -> None:
     """Move the entries ``taker`` covers from ``giver`` (their paths diverge)."""
     moved = giver.store.retain(taker.path, inside=False)
     if not moved:
         return
     taker.store.merge(moved)
-    giver.network.send(giver.node_id, taker.node_id, "exchange", len(moved))
+    pnet.ship(giver.node_id, taker.node_id, "exchange", len(moved))
 
 
 def bootstrap_exchange(
@@ -330,5 +335,5 @@ def bootstrap_exchange(
         peers = pnet.online_peers()
         rng.shuffle(peers)
         for left, right in zip(peers[0::2], peers[1::2]):
-            left.network.send(left.node_id, right.node_id, "exchange", 1)
-            exchange(left, right, capacity, max_depth=max_depth)
+            pnet.ship(left.node_id, right.node_id, "exchange", 1)
+            exchange(pnet, left, right, capacity, max_depth=max_depth)

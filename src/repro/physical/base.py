@@ -40,7 +40,6 @@ class ExecutionContext:
     store: DistributedTripleStore
     coordinator: PGridPeer
     rng: random.Random = field(default_factory=lambda: random.Random(0))
-    range_algorithm: str = "shower"
 
     @property
     def pnet(self) -> PGridNetwork:

@@ -110,10 +110,10 @@ class IndexRange(_ScanBase):
 
     key_range: KeyRange
     strategy: str = field()  # required, not PhysicalOperator's ""
-    algorithm: str | None = None  # None = context default
+    algorithm: str | None = None  # None = "shower"
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        algorithm = self.algorithm or ctx.range_algorithm
+        algorithm = self.algorithm or "shower"
         if algorithm == "shower":
             groups, trace, complete = range_query_shower_groups(
                 ctx.pnet, self.key_range, start=ctx.coordinator, rng=ctx.rng

@@ -149,6 +149,29 @@ class TestRunChainsInterpretersAgree:
         )
         assert [(d.src, d.dst, d.size) for d in scheduler.log] == [(a, b, 1), (b, c, 1), (b, a, 3)]
 
+    def test_a_zero_hop_chain_arrives_after_the_wave_departed(self):
+        """In a wave, a chain with no hops arrives through the simulator; a
+        chain started alone with ``chain`` arrives inline."""
+        net = build_network(3, seed=1, latency_model=ConstantLatency(0.1)).net
+        a, b, c = sorted(net.nodes)
+        local = ChainSpec([], "local", 1, then_send([(a, c, "follow", 1)]))
+        scheduler = EventScheduler(net)
+        scheduler.run_chains([local, ChainSpec([(a, b)], "hop")])
+        assert [d.kind for d in scheduler.log] == ["hop", "follow"]
+        scheduler = EventScheduler(net)
+        scheduler.chain(local)
+        scheduler.chain(ChainSpec([(a, b)], "hop"))
+        scheduler.run()
+        assert [d.kind for d in scheduler.log] == ["follow", "hop"]
+
+    def test_a_fire_and_forget_chain_names_no_reply(self):
+        net = build_network(3, seed=1, latency_model=ConstantLatency(0.1)).net
+        a, b, _c = sorted(net.nodes)
+        scheduler = EventScheduler(net)
+        with pytest.raises(ValueError):
+            scheduler.chain(ChainSpec([(a, b)], "range", reply=ChainSpec([(b, a)], "range")))
+        assert scheduler.pending() == 0
+
 
 # -- the shower's trace interpreter ----------------------------------------------
 

@@ -19,7 +19,7 @@ from repro.bench import ConferenceWorkload
 from repro.errors import NodeUnreachableError, RoutingError
 from repro.net import ConstantLatency, EventScheduler, Network, PlanetLabLatency, ZeroLatency
 from repro.net.trace import Trace
-from repro.pgrid import build_network, bulk_load, encode_string
+from repro.pgrid import bootstrap_exchange, build_network, bulk_load, encode_string
 from repro.pgrid.datastore import Entry
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.range_query import range_query_shower
@@ -334,6 +334,19 @@ class TestMaintenanceInEventMode:
         # All pairs gossip concurrently: one digest + reply round trip, not
         # one round trip per pair.
         assert sched.now == pytest.approx(0.2)
+
+    def test_bootstrap_exchange_is_scheduled(self):
+        pnet = PGridNetwork(Network(latency_model=ConstantLatency(0.1)), seed=6)
+        for index in range(16):
+            pnet.add_peer(f"boot-{index:02d}")
+        for index, (key, item_id, value) in enumerate(ITEMS):
+            pnet.peers[index % 16].store.merge([Entry(key, item_id, value, 0)])
+        with pnet.net.frame() as frame, pnet.event_driven() as sched:
+            bootstrap_exchange(pnet, rounds=3, capacity=4, rng=random.Random(6))
+        exchanges = [d for d in sched.log if d.kind == "exchange"]
+        assert len(exchanges) == frame.by_kind["exchange"] > 16
+        # Each exchange message is its own one-hop wave, sent in turn.
+        assert sched.now == pytest.approx(0.1 * len(exchanges))
 
     def test_anti_entropy_skips_a_peer_that_fails_mid_round(self):
         pnet = self._overlay()

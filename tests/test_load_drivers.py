@@ -24,10 +24,11 @@ from repro.load import (
     completed_latencies,
     summarize,
 )
-from repro.net import ConstantLatency
+from repro.net import ConstantLatency, Network
 from repro.net.churn import ChurnEvent, generate_session_trace
 from repro.pgrid import build_network, bulk_load, encode_string
 from repro.pgrid.load_balancing import query_load_imbalance
+from repro.pgrid.network import PGridNetwork
 
 _WORD_RNG = random.Random(4096)
 WORDS = sorted(
@@ -241,17 +242,21 @@ class TestChurnUnderLoad:
     def test_partial_route_accounting_survives_dead_hops(self):
         """A failed route's partial-hop replay must stop at a dead hop, not
         raise NodeUnreachableError inside the simulator (driver-crash bug)."""
-        from repro.load.drivers import _OpEngine
-
-        pnet = _overlay(seed=31, replication=3)
+        # a(0) -> b(10) -> c(110) -> d(111, offline): a lookup of d's key from
+        # a dead-ends at c, and c dies before the replay's second hop departs.
+        pnet = PGridNetwork(Network(latency_model=ConstantLatency(0.01)))
+        a, b, c, d = (pnet.add_peer(n, path) for n, path in zip("abcd", ["0", "10", "110", "111"]))
+        a.routing.add(0, "b")
+        b.routing.add(1, "c")
+        c.routing.add(2, "d")
+        d.fail()
+        churn = [ChurnEvent(time=0.005, node_id="c", online=False)]
         with pnet.event_driven() as sched:
-            engine = _OpEngine(pnet, random.Random(0))
-            a, b, c = pnet.peers[0], pnet.peers[1], pnet.peers[2]
-            c.fail()  # the chain's second hop destination is already dead
-            engine._account_partial([(a.node_id, b.node_id), (b.node_id, c.node_id)], sched.now)
-            sched.run()  # must not raise
-            assert [(d.src, d.dst) for d in sched.log] == [(a.node_id, b.node_id)]
+            driver = ClosedLoopDriver(pnet, ["111"], clients=1, ops_per_client=1, gateways=[a])
+            (record,) = driver.run(churn_trace=churn)  # must not raise
+            assert [(x.src, x.dst) for x in sched.log] == [("a", "b")]
             assert sched.pending() == 0
+        assert record.completed is not None and not record.ok
 
     def test_mid_queue_failure_redirects_queued_work(self):
         """A destination dies while requests are queued on it: the affected

@@ -177,6 +177,17 @@ class TestScans:
         sequential = IndexRange(pattern, (), key_range, "av-range", "sequential")
         assert rows_of(shower.execute(ctx)) == rows_of(sequential.execute(ctx))
 
+    def test_no_range_algorithm_runs_the_shower(self, env):
+        store, _triples, ctx = env
+        pattern = TriplePattern(Var("s"), Var("a"), Var("v"))
+
+        def cost(algorithm):
+            scan = IndexRange(pattern, (), KeyRange("01", "10"), "attribute-scan", algorithm)
+            trace = scan.execute(ExecutionContext(store, ctx.coordinator, random.Random(7))).trace
+            return trace.messages, trace.hops
+
+        assert cost(None) == cost("shower") != cost("sequential")
+
     def test_av_prefix(self, env):
         store, triples, ctx = env
         scan = planned_scan(

@@ -325,7 +325,7 @@ REF = SimpleNamespace(
     split_group=ref_split_group,
     migrate_peer=ref_migrate_peer,
     join_peer=ref_join_peer,
-    exchange=ref_exchange,
+    exchange=lambda _pnet, p, q, capacity: ref_exchange(p, q, capacity),
     bootstrap_exchange=ref_bootstrap_exchange,
     insert=ref_insert,
     insert_many=ref_insert_many,
@@ -432,7 +432,7 @@ def run_op(op: str, pick: int, pnet: PGridNetwork, impl):
         p, q = peers[pick % len(peers)], peers[(pick // len(peers) + 1) % len(peers)]
         if p is q:
             return None
-        return impl.exchange(p, q, pick % 40 + 1)
+        return impl.exchange(pnet, p, q, pick % 40 + 1)
     if op == "all_entries":
         whole = [(e.key, e.item_id, e.version) for e in impl.all_entries(pnet)]
         subtree = KeyRange.subtree(format(pick % 8, "03b"))
