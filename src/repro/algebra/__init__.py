@@ -1,6 +1,6 @@
 """Logical algebra of UniStore (paper §2).
 
-Relational operators (σ, π, ⋈, set ops) plus the distributed-triple-store
+Relational operators (σ, π, ⋈, ∪, OPTIONAL) plus the distributed-triple-store
 specials: pattern scans, similarity join, top-N and skyline.  Includes the
 AST→plan builder, always-beneficial rewrites, and a centralized reference
 executor used as ground truth by the test suite.
@@ -18,8 +18,6 @@ from repro.algebra.expressions import (
     satisfies,
 )
 from repro.algebra.operators import (
-    Difference,
-    Intersection,
     Join,
     LeftJoin,
     Limit,
@@ -56,8 +54,6 @@ __all__ = [
     "LeftJoin",
     "SimilarityJoin",
     "Union",
-    "Intersection",
-    "Difference",
     "OrderBy",
     "Limit",
     "TopN",

@@ -196,43 +196,6 @@ class Union(LogicalPlan):
 
 
 @dataclass(frozen=True)
-class Intersection(LogicalPlan):
-    """∩ — bindings present in every input (compared on shared variables)."""
-
-    inputs: tuple[LogicalPlan, ...]
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return self.inputs
-
-    def output_variables(self) -> set[str]:
-        result: set[str] | None = None
-        for child in self.inputs:
-            variables = child.output_variables()
-            result = variables if result is None else (result & variables)
-        return result or set()
-
-    def _label(self) -> str:
-        return f"Intersection ∩ ({len(self.inputs)} inputs)"
-
-
-@dataclass(frozen=True)
-class Difference(LogicalPlan):
-    """∖ — bindings of ``left`` that do not appear in ``right``."""
-
-    left: LogicalPlan
-    right: LogicalPlan
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.left, self.right)
-
-    def output_variables(self) -> set[str]:
-        return self.left.output_variables()
-
-    def _label(self) -> str:
-        return "Difference ∖"
-
-
-@dataclass(frozen=True)
 class OrderBy(LogicalPlan):
     """Sort bindings by the given keys."""
 

@@ -12,8 +12,6 @@ from collections import defaultdict
 
 from repro.algebra.expressions import satisfies
 from repro.algebra.operators import (
-    Difference,
-    Intersection,
     Join,
     LeftJoin,
     Limit,
@@ -29,6 +27,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.semantics import (
     Binding,
+    compatible,
     join_key,
     match_pattern,
     merge_bindings,
@@ -107,8 +106,8 @@ def execute_reference(plan: LogicalPlan, triples: list[Triple]) -> list[Binding]
                     continue
                 if edit_distance_within(left_value, right_value, plan.max_distance) is None:
                     continue
-                merged = merge_bindings(left_row, right_row)
-                result.append(merged)
+                if compatible(left_row, right_row):
+                    result.append(merge_bindings(left_row, right_row))
         return result
 
     if isinstance(plan, Union):
@@ -116,29 +115,6 @@ def execute_reference(plan: LogicalPlan, triples: list[Triple]) -> list[Binding]
         for child in plan.inputs:
             result.extend(execute_reference(child, triples))
         return result
-
-    if isinstance(plan, Intersection):
-        shared = sorted(plan.output_variables())
-        sets = []
-        rows_by_key: dict[tuple, Binding] = {}
-        for child in plan.inputs:
-            keys = set()
-            for row in execute_reference(child, triples):
-                key = join_key(row, shared)
-                keys.add(key)
-                rows_by_key.setdefault(key, {name: row.get(name) for name in shared})
-            sets.append(keys)
-        common = set.intersection(*sets) if sets else set()
-        return [rows_by_key[key] for key in common]
-
-    if isinstance(plan, Difference):
-        shared = sorted(plan.left.output_variables() & plan.right.output_variables())
-        right_keys = {join_key(row, shared) for row in execute_reference(plan.right, triples)}
-        return [
-            row
-            for row in execute_reference(plan.left, triples)
-            if join_key(row, shared) not in right_keys
-        ]
 
     if isinstance(plan, OrderBy):
         rows = execute_reference(plan.child, triples)

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.algebra.operators import (
-    Difference,
-    Intersection,
     Join,
     LeftJoin,
     Limit,
@@ -232,10 +230,6 @@ def _map_children(plan: LogicalPlan, transform) -> LogicalPlan:
         )
     if isinstance(plan, Union):
         return Union(tuple(transform(c) for c in plan.inputs))
-    if isinstance(plan, Intersection):
-        return Intersection(tuple(transform(c) for c in plan.inputs))
-    if isinstance(plan, Difference):
-        return Difference(transform(plan.left), transform(plan.right))
     if isinstance(plan, OrderBy):
         return OrderBy(transform(plan.child), plan.items)
     if isinstance(plan, Limit):

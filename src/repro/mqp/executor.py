@@ -41,7 +41,13 @@ from repro.algebra.semantics import Binding, bound_variables
 from repro.mqp.plan import MutantQueryPlan
 from repro.optimizer.adaptive import Step, choose_next_step
 from repro.optimizer.cost_model import CostModel
-from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, probe_join
+from repro.physical.base import (
+    ExecutionContext,
+    OpResult,
+    PhysicalOperator,
+    coordinator_result,
+    probe_join,
+)
 from repro.physical.joins import hash_join
 from repro.vql.ast import Expression, expression_variables
 
@@ -76,12 +82,7 @@ class MutantPlanOp(PhysicalOperator):
     def execute(self, ctx: ExecutionContext) -> OpResult:
         result = execute_mutant_plan(ctx, self.scans, self.residual_filters, self.model)
         self.steps = result.steps
-        rows = result.bindings
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
-            trace=result.trace,
-            complete=result.complete,
-        )
+        return coordinator_result(ctx, result.bindings, result.trace, result.complete)
 
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent

@@ -74,7 +74,6 @@ from repro.net.trace import Trace
 
 if TYPE_CHECKING:
     from repro.load.model import LoadModel
-    from repro.load.shedding import HintRegistry
     from repro.net.network import Network
 
 #: Message kind of the admission-control NACK sent back to a rejected sender.
@@ -190,14 +189,6 @@ class EventScheduler:
         self.log: list[Delivery] = []
 
     @property
-    def hints(self) -> "HintRegistry | None":
-        """The network-attached hint registry (single source of truth, so the
-        scheduler and routing — which only sees the network — always agree).
-        Attach one via ``pnet.event_driven(..., hints=True)`` or by setting
-        ``network.hints`` directly."""
-        return getattr(self.net, "hints", None)
-
-    @property
     def now(self) -> float:
         """Current simulated time."""
         return self.sim.now
@@ -248,16 +239,19 @@ class EventScheduler:
         latency += self.net.latency_model.sample_jitter(self.net.rng)
         arrival = time + latency
         # Piggybacked metadata is stamped at departure: the hint describes
-        # the sender's queue as the message leaves, not as it lands.
+        # the sender's queue as the message leaves, not as it lands.  The
+        # registry is the network's (``Network.hints``), so the scheduler
+        # and routing, which only sees the network, always agree.
+        hints = self.net.hints
         hint: float | None = None
-        if self.hints is not None and self.load is not None:
+        if hints is not None and self.load is not None:
             hint = self.load.advertised_depth(src, time)
 
         def deliver() -> None:
             self.net.stats.record(kind, size, at=arrival)
             self.log.append(Delivery(arrival, src, dst, kind, size, hint))
-            if self.hints is not None and hint is not None:
-                self.hints.observe(dst, src, hint, arrival)
+            if hint is not None:
+                hints.observe(dst, src, hint, arrival)
             if self.load is None:
                 if on_delivered is not None:
                     on_delivered(arrival)

@@ -23,8 +23,6 @@ from repro.algebra.expressions import (
     extract_constraints,
 )
 from repro.algebra.operators import (
-    Difference,
-    Intersection,
     Join,
     LeftJoin,
     Limit,
@@ -43,12 +41,10 @@ from repro.optimizer.cost_model import Cost, CostModel
 from repro.optimizer.statistics import CatalogStatistics
 from repro.physical import (
     CollectOp,
-    DifferenceOp,
     FilterOp,
     IndexLookup,
     IndexNestedLoopJoin,
     IndexRange,
-    IntersectionOp,
     LeftJoinOp,
     LimitOp,
     NaiveSimilarityJoin,
@@ -195,21 +191,6 @@ class Planner:
                 rows=sum(child.rows for child in children),
                 producers=sum(child.producers for child in children),
             )
-        if isinstance(node, Intersection):
-            children = [self._plan(child) for child in node.inputs]
-            cost = Cost()
-            for child in children:
-                cost = cost.alongside(child.cost)
-                cost = cost.then(self.model.ship_rows(child.rows, child.producers))
-            rows = min((child.rows for child in children), default=0.0)
-            return Planned(IntersectionOp(tuple(c.op for c in children)), cost, rows=rows)
-        if isinstance(node, Difference):
-            left = self._plan(node.left)
-            right = self._plan(node.right)
-            cost = left.cost.alongside(right.cost).then(
-                self.model.ship_rows(left.rows + right.rows, left.producers + right.producers)
-            )
-            return Planned(DifferenceOp(left.op, right.op), cost, rows=left.rows)
         if isinstance(node, OrderBy):
             child = self._plan(node.child)
             cost = child.cost.then(self.model.ship_rows(child.rows, child.producers))

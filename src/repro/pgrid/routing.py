@@ -176,7 +176,7 @@ def _pick_ref(current: PGridPeer, candidates: list[str], rng: random.Random) -> 
     on all-unknown ties, where every hint reads 0.0) this is exactly the
     historical ``rng.choice(candidates)`` — same draw, same pick.
     """
-    registry = getattr(current.network, "hints", None)
+    registry = current.network.hints
     if registry is None or len(candidates) == 1:
         return rng.choice(candidates)
     from repro.load.shedding import pick_least_hinted  # deferred: load imports pgrid

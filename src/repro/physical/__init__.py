@@ -9,9 +9,7 @@ from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator
 from repro.physical.joins import IndexNestedLoopJoin, RehashJoin, ShipJoin
 from repro.physical.misc import (
     CollectOp,
-    DifferenceOp,
     FilterOp,
-    IntersectionOp,
     LeftJoinOp,
     LimitOp,
     ProjectOp,
@@ -42,8 +40,6 @@ __all__ = [
     "SortOp",
     "LimitOp",
     "UnionOp",
-    "IntersectionOp",
-    "DifferenceOp",
     "LeftJoinOp",
     "CollectOp",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.net.trace import Trace
@@ -48,7 +49,15 @@ class ExecutionContext:
 
 @dataclass
 class OpResult:
-    """Bindings grouped by the peer holding them, plus the cost so far."""
+    """Bindings grouped by the peer holding them, plus the cost so far.
+
+    ``trace`` is the causal cost up to this state.  ``complete`` turns
+    False when part of the answer was lost to an unreachable region, and
+    stays False above it.  A result at the coordinator holds one group
+    there, or none when empty.  Only :func:`gather` and
+    :func:`coordinator_result` build one, so traces and ``complete``
+    compose there.
+    """
 
     groups: list[tuple[str, list[Binding]]]
     trace: Trace = Trace.ZERO
@@ -62,6 +71,12 @@ class OpResult:
 
     def total_rows(self) -> int:
         return sum(len(bindings) for _peer, bindings in self.groups)
+
+    def in_place(self, step: Callable[[list[Binding]], list[Binding]]) -> "OpResult":
+        """``step`` applied to each peer's rows where they are (no traffic);
+        peers left without rows drop out."""
+        groups = [(peer_id, kept) for peer_id, rows in self.groups if (kept := step(rows))]
+        return OpResult(groups, self.trace, self.complete)
 
     def shipped_to(self, ctx: ExecutionContext, dest_id: str, kind: str = "ship") -> "OpResult":
         """Move every group to one peer (parallel sends, sized by payload).
@@ -79,8 +94,43 @@ class OpResult:
         trace = self.trace.then(ctx.pnet.ship_many(sends)) if sends else self.trace
         return OpResult(groups=[(dest_id, rows)], trace=trace, complete=self.complete)
 
-    def at_coordinator(self, ctx: ExecutionContext, kind: str = "ship") -> "OpResult":
+    def at_coordinator(self, ctx: ExecutionContext, kind: str) -> "OpResult":
         return self.shipped_to(ctx, ctx.coordinator.node_id, kind=kind)
+
+
+def coordinator_result(
+    ctx: ExecutionContext, rows: list[Binding], trace: Trace, complete: bool = True
+) -> OpResult:
+    """A result whose ``rows`` are all at the coordinator."""
+    return OpResult([(ctx.coordinator.node_id, rows)] if rows else [], trace, complete)
+
+
+def gather(
+    ctx: ExecutionContext,
+    inputs: Sequence["PhysicalOperator"],
+    kind: str,
+    combine: Callable[..., list[Binding]] = list,
+    local: Callable[[list[Binding]], list[Binding]] | None = None,
+) -> OpResult:
+    """Run ``inputs``, ship their rows to the coordinator and return
+    ``combine(rows of input 1, rows of input 2, ...)`` there (by default
+    the one input's rows).
+
+    ``local`` first runs on each peer's rows of each input, where they are
+    (top-N pruning, say), so only what it keeps is shipped.  Every input
+    executes before any input ships.  The result's trace runs the inputs'
+    shipped traces in parallel; it is complete when every input is.
+    """
+    results = [op.execute(ctx) for op in inputs]
+    if local is not None:
+        results = [result.in_place(local) for result in results]
+    homes = [result.at_coordinator(ctx, kind) for result in results]
+    return coordinator_result(
+        ctx,
+        combine(*(home.all_bindings() for home in homes)),
+        Trace.parallel([home.trace for home in homes]),
+        all(home.complete for home in homes),
+    )
 
 
 class FilterCheck:

@@ -32,7 +32,14 @@ from repro.errors import PlanningError, RoutingError
 from repro.net.scheduler import ChainSpec, PartialChain, then_send
 from repro.net.trace import Trace
 from repro.algebra.semantics import Binding, bound_variables, compatible, join_key, merge_bindings
-from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, probe_join
+from repro.physical.base import (
+    ExecutionContext,
+    OpResult,
+    PhysicalOperator,
+    coordinator_result,
+    gather,
+    probe_join,
+)
 from repro.pgrid.routing import point_key, route_hops
 from repro.triples.index import probe_variable, v_key
 from repro.vql.ast import Expression, TriplePattern
@@ -60,20 +67,11 @@ class ShipJoin(_JoinBase):
     strategy = "ship"
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        left_result = self.left.execute(ctx)
-        right_result = self.right.execute(ctx)
-        left_home = left_result.at_coordinator(ctx, kind="join-ship")
-        right_home = right_result.at_coordinator(ctx, kind="join-ship")
-        left_rows = left_home.all_bindings()
-        right_rows = right_home.all_bindings()
+        return gather(ctx, (self.left, self.right), "join-ship", self._join)
+
+    def _join(self, left_rows: list[Binding], right_rows: list[Binding]) -> list[Binding]:
         shared = list(self.join_variables) or self._shared_variables(left_rows, right_rows)
-        joined = _hash_join(left_rows, right_rows, shared)
-        trace = Trace.parallel([left_home.trace, right_home.trace])
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, joined)] if joined else [],
-            trace=trace,
-            complete=left_result.complete and right_result.complete,
-        )
+        return _hash_join(left_rows, right_rows, shared)
 
 
 @dataclass
@@ -94,12 +92,12 @@ class IndexNestedLoopJoin(_JoinBase):
     def execute(self, ctx: ExecutionContext) -> OpResult:
         if self.right_pattern is None:
             raise PlanningError("IndexNestedLoopJoin needs the right pattern spec")
-        left_result = self.left.execute(ctx).at_coordinator(ctx, kind="join-ship")
-        left_rows = left_result.all_bindings()
+        left = gather(ctx, (self.left,), "join-ship")
+        left_rows = left.all_bindings()
         if not left_rows:
             # An empty outer side joins to nothing; there is no position to
             # probe (and no need to).
-            return OpResult([], left_result.trace, left_result.complete)
+            return left
         variable = probe_variable(self.right_pattern, bound_variables(left_rows))
         if variable is None:
             raise PlanningError(
@@ -115,11 +113,7 @@ class IndexNestedLoopJoin(_JoinBase):
             ctx.coordinator,
             "join-lookup",
         )
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, joined)] if joined else [],
-            trace=left_result.trace.then(probe_trace),
-            complete=left_result.complete,
-        )
+        return coordinator_result(ctx, joined, left.trace.then(probe_trace), left.complete)
 
     def _label(self) -> str:
         return f"IndexNestedLoopJoin[{self.right_pattern}]"
@@ -207,11 +201,7 @@ class RehashJoin(_JoinBase):
                 )
                 joined_all.extend(local_matches)
         trace = base.then(ctx.pnet.ship_many(result_sends)) if result_sends else base
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, joined_all)] if joined_all else [],
-            trace=trace,
-            complete=complete,
-        )
+        return coordinator_result(ctx, joined_all, trace, complete)
 
 
 def _rendezvous_value(value_key: tuple) -> str:

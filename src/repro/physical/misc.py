@@ -1,14 +1,15 @@
-"""Remaining physical operators: filter, projection, sort/limit, set ops,
+"""Remaining physical operators: filter, projection, sort/limit, union,
 left join, and the root collector.
 
 These are "flow" operators: FilterOp and ProjectOp run *in place* at the
 producing peers (free of network cost — this is the pushdown payoff); the
-blocking operators (sort, distinct, set ops, left join) gather at the
-coordinator first.
+blocking operators (sort, distinct, left join) gather at the coordinator
+first.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.net.trace import Trace
@@ -20,7 +21,7 @@ from repro.algebra.semantics import (
     merge_bindings,
     order_sort_key,
 )
-from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator
+from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, gather
 from repro.vql.ast import Expression, OrderItem, Var
 
 
@@ -37,13 +38,9 @@ class FilterOp(PhysicalOperator):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        result = self.child.execute(ctx)
-        groups = []
-        for peer_id, rows in result.groups:
-            kept = [row for row in rows if satisfies(self.predicate, row)]
-            if kept:
-                groups.append((peer_id, kept))
-        return OpResult(groups, result.trace, result.complete)
+        return self.child.execute(ctx).in_place(
+            lambda rows: [row for row in rows if satisfies(self.predicate, row)]
+        )
 
     def _label(self) -> str:
         return f"FilterOp σ[{self.predicate}]"
@@ -64,32 +61,15 @@ class ProjectOp(PhysicalOperator):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        result = self.child.execute(ctx)
+        if self.distinct:
+            return gather(ctx, (self.child,), "project-ship", _distinct, local=self._project)
+        return self.child.execute(ctx).in_place(self._project)
+
+    def _project(self, rows: list[Binding]) -> list[Binding]:
         names = [v.name for v in self.variables]
-        if names:
-            result = OpResult(
-                [
-                    (peer_id, [{name: row.get(name) for name in names} for row in rows])
-                    for peer_id, rows in result.groups
-                ],
-                result.trace,
-                result.complete,
-            )
-        if not self.distinct:
-            return result
-        home = result.at_coordinator(ctx, kind="project-ship")
-        seen: set[tuple] = set()
-        unique: list[Binding] = []
-        for row in home.all_bindings():
-            key = tuple(sorted(row.items(), key=lambda kv: kv[0]))
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, unique)] if unique else [],
-            trace=home.trace,
-            complete=home.complete,
-        )
+        if not names:
+            return rows
+        return [{name: row.get(name) for name in names} for row in rows]
 
     def _label(self) -> str:
         names = ", ".join(f"?{v.name}" for v in self.variables) if self.variables else "*"
@@ -109,13 +89,8 @@ class SortOp(PhysicalOperator):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        home = self.child.execute(ctx).at_coordinator(ctx, kind="sort-ship")
-        rows = sorted(home.all_bindings(), key=order_sort_key(self.items))
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
-            trace=home.trace,
-            complete=home.complete,
-        )
+        key = order_sort_key(self.items)
+        return gather(ctx, (self.child,), "sort-ship", lambda rows: sorted(rows, key=key))
 
 
 @dataclass
@@ -132,14 +107,8 @@ class LimitOp(PhysicalOperator):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        home = self.child.execute(ctx).at_coordinator(ctx, kind="limit-ship")
         end = None if self.count is None else self.offset + self.count
-        rows = home.all_bindings()[self.offset : end]
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
-            trace=home.trace,
-            complete=home.complete,
-        )
+        return gather(ctx, (self.child,), "limit-ship", lambda rows: rows[self.offset : end])
 
 
 @dataclass
@@ -164,68 +133,6 @@ class UnionOp(PhysicalOperator):
 
 
 @dataclass
-class IntersectionOp(PhysicalOperator):
-    """∩ on the shared variables, at the coordinator."""
-
-    inputs: tuple[PhysicalOperator, ...] = ()
-
-    strategy = "coordinator"
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return self.inputs
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        homes = [child.execute(ctx).at_coordinator(ctx, kind="setop-ship") for child in self.inputs]
-        trace = Trace.parallel([h.trace for h in homes])
-        complete = all(h.complete for h in homes)
-        if not homes or any(not h.all_bindings() for h in homes):
-            return OpResult(groups=[], trace=trace, complete=complete)
-        shared = sorted(set.intersection(*(bound_variables(h.all_bindings()) for h in homes)))
-        key_sets = []
-        rows_by_key: dict[tuple, Binding] = {}
-        for home in homes:
-            keys = set()
-            for row in home.all_bindings():
-                key = join_key(row, shared)
-                keys.add(key)
-                rows_by_key.setdefault(key, {name: row.get(name) for name in shared})
-            key_sets.append(keys)
-        rows = [rows_by_key[k] for k in set.intersection(*key_sets)]
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
-            trace=trace,
-            complete=complete,
-        )
-
-
-@dataclass
-class DifferenceOp(PhysicalOperator):
-    """∖ at the coordinator."""
-
-    left: PhysicalOperator = None  # type: ignore[assignment]
-    right: PhysicalOperator = None  # type: ignore[assignment]
-
-    strategy = "coordinator"
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
-
-    def execute(self, ctx: ExecutionContext) -> OpResult:
-        left_home = self.left.execute(ctx).at_coordinator(ctx, kind="setop-ship")
-        right_home = self.right.execute(ctx).at_coordinator(ctx, kind="setop-ship")
-        left_rows = left_home.all_bindings()
-        right_rows = right_home.all_bindings()
-        shared = sorted(bound_variables(left_rows) & bound_variables(right_rows))
-        right_keys = {join_key(row, shared) for row in right_rows}
-        rows = [row for row in left_rows if join_key(row, shared) not in right_keys]
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
-            trace=Trace.parallel([left_home.trace, right_home.trace]),
-            complete=left_home.complete and right_home.complete,
-        )
-
-
-@dataclass
 class LeftJoinOp(PhysicalOperator):
     """OPTIONAL (left outer join) at the coordinator."""
 
@@ -238,28 +145,7 @@ class LeftJoinOp(PhysicalOperator):
         return (self.left, self.right)
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        left_home = self.left.execute(ctx).at_coordinator(ctx, kind="join-ship")
-        right_home = self.right.execute(ctx).at_coordinator(ctx, kind="join-ship")
-        left_rows = left_home.all_bindings()
-        right_rows = right_home.all_bindings()
-        shared = sorted(bound_variables(left_rows) & bound_variables(right_rows))
-        from collections import defaultdict
-
-        table = defaultdict(list)
-        for row in right_rows:
-            table[join_key(row, shared)].append(row)
-        rows: list[Binding] = []
-        for row in left_rows:
-            matches = table.get(join_key(row, shared), [])
-            if matches:
-                rows.extend(merge_bindings(row, m) for m in matches)
-            else:
-                rows.append(dict(row))
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
-            trace=Trace.parallel([left_home.trace, right_home.trace]),
-            complete=left_home.complete and right_home.complete,
-        )
+        return gather(ctx, (self.left, self.right), "join-ship", _left_join)
 
 
 @dataclass
@@ -274,4 +160,33 @@ class CollectOp(PhysicalOperator):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        return self.child.execute(ctx).at_coordinator(ctx, kind="result")
+        return gather(ctx, (self.child,), "result")
+
+
+def _distinct(rows: list[Binding]) -> list[Binding]:
+    """``rows`` without repeats, first occurrences in order."""
+    seen: set[tuple] = set()
+    unique: list[Binding] = []
+    for row in rows:
+        key = tuple(sorted(row.items(), key=lambda kv: kv[0]))
+        if key not in seen:
+            seen.add(key)
+            unique.append(row)
+    return unique
+
+
+def _left_join(left_rows: list[Binding], right_rows: list[Binding]) -> list[Binding]:
+    """Every left row merged with each right row agreeing on the shared
+    variables, or kept alone when none does."""
+    shared = sorted(bound_variables(left_rows) & bound_variables(right_rows))
+    table = defaultdict(list)
+    for row in right_rows:
+        table[join_key(row, shared)].append(row)
+    rows: list[Binding] = []
+    for row in left_rows:
+        matches = table.get(join_key(row, shared), [])
+        if matches:
+            rows.extend(merge_bindings(row, m) for m in matches)
+        else:
+            rows.append(dict(row))
+    return rows

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algebra.semantics import order_sort_key, skyline_of
-from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator
+from repro.algebra.semantics import Binding, order_sort_key, skyline_of
+from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, gather
 from repro.vql.ast import OrderItem, SkylineItem
 
 
@@ -37,20 +37,18 @@ class TopNOp(PhysicalOperator):
         return "local-prune" if self.prune else "naive"
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        result = self.child.execute(ctx)
-        keep = self.n + self.offset
         key = order_sort_key(self.items)
-        if self.prune:
-            pruned_groups = [
-                (peer_id, sorted(rows, key=key)[:keep]) for peer_id, rows in result.groups
-            ]
-            result = OpResult(pruned_groups, result.trace, result.complete)
-        home = result.at_coordinator(ctx, kind="topn-ship")
-        rows = sorted(home.all_bindings(), key=key)[self.offset : keep]
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
-            trace=home.trace,
-            complete=home.complete,
+        keep = self.n + self.offset
+
+        def best(rows: list[Binding]) -> list[Binding]:
+            return sorted(rows, key=key)[:keep]
+
+        return gather(
+            ctx,
+            (self.child,),
+            "topn-ship",
+            lambda rows: best(rows)[self.offset :],
+            local=best if self.prune else None,
         )
 
     def _label(self) -> str:
@@ -74,19 +72,11 @@ class SkylineOp(PhysicalOperator):
         return "local-prune" if self.prune else "naive"
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        result = self.child.execute(ctx)
-        if self.prune:
-            pruned_groups = [
-                (peer_id, skyline_of(rows, self.items)) for peer_id, rows in result.groups
-            ]
-            result = OpResult(pruned_groups, result.trace, result.complete)
-        home = result.at_coordinator(ctx, kind="skyline-ship")
-        rows = skyline_of(home.all_bindings(), self.items)
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, rows)] if rows else [],
-            trace=home.trace,
-            complete=home.complete,
-        )
+        local = self._skyline if self.prune else None
+        return gather(ctx, (self.child,), "skyline-ship", self._skyline, local=local)
+
+    def _skyline(self, rows: list[Binding]) -> list[Binding]:
+        return skyline_of(rows, self.items)
 
     def _label(self) -> str:
         dims = ", ".join(str(i) for i in self.items)

@@ -38,7 +38,13 @@ from repro.errors import PlanningError
 from repro.net.trace import Trace
 from repro.algebra.expressions import replace_terms, satisfies
 from repro.algebra.semantics import Binding, compatible, match_pattern, merge_bindings
-from repro.physical.base import ExecutionContext, FilterCheck, OpResult, PhysicalOperator
+from repro.physical.base import (
+    ExecutionContext,
+    FilterCheck,
+    OpResult,
+    PhysicalOperator,
+    coordinator_result,
+)
 from repro.pgrid.keys import KeyRange
 from repro.pgrid.range_query import (
     range_query_sequential_groups,
@@ -191,8 +197,7 @@ class QGramScan(_ScanBase):
             binding = match_pattern(self.pattern, triple)
             if binding is not None and check(binding):
                 bindings.append(binding)
-        groups = [(ctx.coordinator.node_id, bindings)] if bindings else []
-        return OpResult(groups=groups, trace=Trace.parallel(branches))
+        return coordinator_result(ctx, bindings, Trace.parallel(branches))
 
     def _check(self, distances: dict[Value, int | None]) -> FilterCheck:
         """The scan's filters, told each verified value's distance so that a

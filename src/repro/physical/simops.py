@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from repro.errors import PlanningError
 from repro.net.trace import Trace
 from repro.algebra.semantics import Binding, compatible, merge_bindings
-from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator
+from repro.physical.base import (
+    ExecutionContext,
+    OpResult,
+    PhysicalOperator,
+    coordinator_result,
+    gather,
+)
 from repro.physical.scans import QGramScan
 from repro.strings import edit_distance_within
 from repro.vql.ast import Expression, TriplePattern, Var
@@ -41,14 +47,15 @@ class NaiveSimilarityJoin(PhysicalOperator):
         return (self.left, self.right)
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        left_home = self.left.execute(ctx).at_coordinator(ctx, kind="simjoin-ship")
-        right_home = self.right.execute(ctx).at_coordinator(ctx, kind="simjoin-ship")
+        return gather(ctx, (self.left, self.right), "simjoin-ship", self._verify)
+
+    def _verify(self, left_rows: list[Binding], right_rows: list[Binding]) -> list[Binding]:
         joined: list[Binding] = []
-        for left_row in left_home.all_bindings():
+        for left_row in left_rows:
             left_value = left_row.get(self.left_variable.name)
             if not isinstance(left_value, str):
                 continue
-            for right_row in right_home.all_bindings():
+            for right_row in right_rows:
                 right_value = right_row.get(self.right_variable.name)
                 if not isinstance(right_value, str):
                     continue
@@ -56,12 +63,7 @@ class NaiveSimilarityJoin(PhysicalOperator):
                     continue
                 if compatible(left_row, right_row):
                     joined.append(merge_bindings(left_row, right_row))
-        trace = Trace.parallel([left_home.trace, right_home.trace])
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, joined)] if joined else [],
-            trace=trace,
-            complete=left_home.complete and right_home.complete,
-        )
+        return joined
 
     def _label(self) -> str:
         return (
@@ -96,13 +98,11 @@ class QGramSimilarityJoin(PhysicalOperator):
             raise PlanningError(
                 "QGramSimilarityJoin: right variable must be the right pattern's object"
             )
-        left_home = self.left.execute(ctx).at_coordinator(ctx, kind="simjoin-ship")
-        left_rows = left_home.all_bindings()
-
+        left = gather(ctx, (self.left,), "simjoin-ship")
         joined: list[Binding] = []
         branches: list[Trace] = []
         probe_cache: dict[str, list[Binding]] = {}
-        for left_row in left_rows:
+        for left_row in left.all_bindings():
             left_value = left_row.get(self.left_variable.name)
             if not isinstance(left_value, str):
                 continue
@@ -120,12 +120,8 @@ class QGramSimilarityJoin(PhysicalOperator):
             for right_row in probe_cache[left_value]:
                 if compatible(left_row, right_row):
                     joined.append(merge_bindings(left_row, right_row))
-        trace = left_home.trace.then(Trace.parallel(branches)) if branches else left_home.trace
-        return OpResult(
-            groups=[(ctx.coordinator.node_id, joined)] if joined else [],
-            trace=trace,
-            complete=left_home.complete,
-        )
+        trace = left.trace.then(Trace.parallel(branches)) if branches else left.trace
+        return coordinator_result(ctx, joined, trace, left.complete)
 
     def _label(self) -> str:
         return (

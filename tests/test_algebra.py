@@ -24,7 +24,7 @@ from repro.algebra import (
     skyline_of,
     split_conjunctions,
 )
-from repro.algebra.operators import Difference, Intersection, Limit, Projection, Union
+from repro.algebra.operators import Limit, Projection, Union
 from repro.algebra.semantics import dominates, match_pattern, order_sort_key
 from repro.errors import PlanningError
 from repro.triples import Triple
@@ -277,13 +277,16 @@ class TestReferenceExecutor:
         assert by_name["Alice"] == "Berlin"
         assert by_name["Cara"] is None
 
-    def test_intersection_and_difference(self):
-        left = PatternScan(TriplePattern(Var("a"), Literal("name"), Var("n")))
-        right = PatternScan(TriplePattern(Var("a"), Literal("city"), Var("c")))
-        inter = execute_reference(Intersection((left, right)), TRIPLES)
-        assert sorted(r["a"] for r in inter) == ["a1", "a2"]
-        diff = execute_reference(Difference(left, right), TRIPLES)
-        assert sorted(r["a"] for r in diff) == ["a3"]
+    def test_similarity_join_agrees_on_shared_variables(self):
+        # Bob's name "Bob" is one edit from Cara's "Bobb" too, but a row
+        # pairs only with the alias of its own subject ?a.
+        triples = TRIPLES + [Triple("a2", "alias", "Bo"), Triple("a3", "alias", "Bobb")]
+        plan = rewrite(build_plan(parse(
+            "SELECT ?a, ?n, ?m WHERE {(?a,'name',?n) (?a,'alias',?m) FILTER edist(?n,?m) <= 1}"
+        )))
+        assert any(isinstance(n, SimilarityJoin) for n in plan.walk())
+        rows = execute_reference(plan, triples)
+        assert sorted((r["a"], r["n"], r["m"]) for r in rows) == [("a2", "Bob", "Bo")]
 
     def test_skyline(self):
         plan = build_plan(parse(

@@ -8,11 +8,9 @@ from repro.bench import ConferenceWorkload
 from repro.errors import PlanningError
 from repro.physical import (
     CollectOp,
-    DifferenceOp,
     ExecutionContext,
     FilterOp,
     IndexRange,
-    IntersectionOp,
     LeftJoinOp,
     LimitOp,
     OidClusterScan,
@@ -118,22 +116,6 @@ class TestSetOperators:
         _store, ctx = env
         result = UnionOp((scan("name"), scan("city", var="n"))).execute(ctx)
         assert _names(result) == sorted(["Alice", "Bob", "Cara", "Berlin", "Basel"])
-
-    def test_intersection_on_shared_variables(self, env):
-        _store, ctx = env
-        result = IntersectionOp((scan("name", var="x"), scan("city", var="y"))).execute(ctx)
-        # shared variable is ?a: people having both name and city
-        assert sorted(r["a"] for r in result.all_bindings()) == ["a-p1", "z-p3"]
-
-    def test_intersection_empty_input(self, env):
-        _store, ctx = env
-        result = IntersectionOp((scan("name"), scan("nonexistent"))).execute(ctx)
-        assert result.all_bindings() == []
-
-    def test_difference(self, env):
-        _store, ctx = env
-        result = DifferenceOp(scan("name", var="x"), scan("city", var="y")).execute(ctx)
-        assert sorted(r["x"] for r in result.all_bindings()) == ["Bob"]
 
     def test_left_join_keeps_unmatched(self, env):
         _store, ctx = env

@@ -3,15 +3,16 @@ centralized reference executor on *arbitrary* queries.
 
 Hypothesis generates random basic graph patterns (with literal/variable mixes
 in every position), random comparison/similarity filters, two-variable
-similarity joins, OPTIONAL groups and UNIONs; each generated query runs in
-the distributed modes and the reference engine over a fixed loaded overlay.
+similarity joins (some over a shared subject variable), OPTIONAL groups and
+UNIONs; each generated query runs in the distributed modes and the
+reference engine over a fixed loaded overlay.
 Any divergence is a real bug in scans, joins, planning or ranking.
 """
 
 from __future__ import annotations
 
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import UniStore
@@ -113,15 +114,25 @@ def queries(draw):
     patterns = _patterns(draw, used_vars)
     filters = _filters(draw, used_vars)
     if used_vars and draw(st.booleans()):
-        # A pattern over fresh variables plus edist(?x, ?v): a similarity
-        # join when the two variables end up on opposite sides of a join.
-        # The filter goes first so it sits directly above the join tree.
-        attribute = _term(draw, "attr")
-        variable = draw(st.sampled_from(used_vars))
+        # A pattern plus edist(?x, ?v): a similarity join when the two
+        # variables end up on opposite sides of a join.  The pattern is over
+        # a fresh subject, or repeats a pattern that binds ?x with ?v in its
+        # object: then both sides bind the same subject variable, so a row
+        # must not pair with a near value of another subject.  The filter
+        # goes first so it sits directly above the join tree.
+        # (A subject or predicate term never holds a comma.)
+        split = [pattern[1:-1].split(",", 2) for pattern in patterns]
+        repeatable = [terms for terms in split if terms[0][0] == terms[2][0] == "?"]
+        if repeatable and draw(st.booleans()):
+            subject, predicate, object_ = draw(st.sampled_from(repeatable))
+            variable = object_[1:]
+        else:
+            subject, predicate = "?u", _term(draw, "attr")
+            variable = draw(st.sampled_from(used_vars))
         k = draw(st.integers(1, 3))
-        patterns.append(f"(?u,{attribute},?v)")
+        patterns.append(f"({subject},{predicate},?v)")
         filters.insert(0, f"FILTER edist(?{variable}, ?v) < {k}")
-        used_vars += ["u", "v"]
+        used_vars += [subject[1:], "v"]
     optional = ""
     if used_vars and draw(st.booleans()):
         optional_vars: list[str] = []
@@ -142,6 +153,14 @@ def queries(draw):
     return f"SELECT {distinct}{select} WHERE {{{body}}}{union}"
 
 
+#: A similarity join whose sides share ?a: a row may only pair with the
+#: near e-mail addresses of its own subject.  Random groups are mostly too
+#: selective to pair rows of two subjects, so every property also runs this.
+SHARED_SUBJECT_SIMILARITY_JOIN = (
+    "SELECT ?a, ?b, ?v WHERE {(?a,'email',?b) (?a,'email',?v) FILTER edist(?b, ?v) < 2}"
+)
+
+
 def _canonical(rows):
     return sorted(tuple(sorted((k, repr(v)) for k, v in row.items())) for row in rows)
 
@@ -150,6 +169,7 @@ def _canonical(rows):
 
 
 @given(queries())
+@example(SHARED_SUBJECT_SIMILARITY_JOIN)
 @settings(
     max_examples=60,
     deadline=None,
@@ -163,6 +183,7 @@ def test_optimized_agrees_with_reference(vql):
 
 
 @given(queries())
+@example(SHARED_SUBJECT_SIMILARITY_JOIN)
 @settings(
     max_examples=25,
     deadline=None,
@@ -175,6 +196,7 @@ def test_mqp_agrees_with_reference(vql):
 
 
 @given(queries(), st.sampled_from(["ship", "rehash"]))
+@example(SHARED_SUBJECT_SIMILARITY_JOIN, "ship")
 @settings(
     max_examples=30,
     deadline=None,
