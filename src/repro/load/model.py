@@ -32,6 +32,10 @@ offer accepts and the behaviour is exactly the PR 4 model.
 
 Everything is deterministic: queues are plain arithmetic over the arrival
 order the simulator already fixes, and speed factors come from a seeded RNG.
+
+Each admitted message leaves one :class:`ServiceSample` in
+:attr:`LoadModel.samples`, a :class:`~repro.net.records.RecordTable`: the
+sample's fields are appended to columns and the record is built when read.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.load.shedding import ACCEPT, DEFER, REJECT, ThresholdAdmission
+from repro.net.records import RecordTable
 
 
 @dataclass(frozen=True)
@@ -261,7 +266,7 @@ class LoadModel:
                     raise ValueError(f"speed factor for {node_id!r} must be > 0")
             self._default_speed = 1.0
             self._speeds = dict(speeds)
-        self.samples: list[ServiceSample] = []
+        self.samples = RecordTable(ServiceSample, names=("node_id", "kind"), ints=("size",))
         self._queues: dict[str, NodeQueue] = {}
 
     def speed(self, node_id: str) -> float:
@@ -306,7 +311,7 @@ class LoadModel:
             arrival, service, self.policy(node_id), parked=parked
         )
         if verdict == ACCEPT:
-            self.samples.append(ServiceSample(node_id, kind, size, arrival, start, finish))
+            self.samples.append(node_id, kind, size, arrival, start, finish)
         return verdict, start, finish, depth
 
     def admit(
@@ -315,7 +320,7 @@ class LoadModel:
         """Queue one delivered message; return ``(start, finish, depth)``."""
         service = self.service_time(node_id, kind)
         start, finish, depth = self.queue(node_id).admit(arrival, service)
-        self.samples.append(ServiceSample(node_id, kind, size, arrival, start, finish))
+        self.samples.append(node_id, kind, size, arrival, start, finish)
         return start, finish, depth
 
     # -- metrics -------------------------------------------------------------

@@ -56,6 +56,9 @@ class Network:
         self.rng = random.Random(seed)
         self.stats = NetworkStats()
         self.nodes: dict[str, Node] = {}
+        #: Moves whenever a node registers, fails or recovers, so a cached
+        #: view of who is online knows when to rebuild.
+        self.membership = 0
         self._link_latency: dict[tuple[str, str], float] = {}
         #: Optional :class:`~repro.load.shedding.HintRegistry`.  When set,
         #: event-scheduled messages piggyback the sender's queue depth and
@@ -69,6 +72,7 @@ class Network:
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self.nodes[node.node_id] = node
+        self.membership += 1
 
     def node(self, node_id: str) -> Node:
         try:

@@ -25,10 +25,12 @@ class Node:
     def fail(self) -> None:
         """Take the node offline (crash-stop)."""
         self.online = False
+        self.network.membership += 1
 
     def recover(self) -> None:
         """Bring the node back online (state is retained, as after a restart)."""
         self.online = True
+        self.network.membership += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.online else "down"

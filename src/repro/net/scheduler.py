@@ -24,7 +24,10 @@ with an ``on_lost`` handler it checks each hop, and a *lost* hop (see
 Determinism: the simulator breaks time ties FIFO, every latency sample comes
 from the network's seeded RNGs, and deliveries are appended to
 :attr:`EventScheduler.log` in firing order — so the same seed replays the
-identical event sequence (asserted by the scheduler tests).
+identical event sequence (asserted by the scheduler tests).  The log is a
+:class:`~repro.net.records.RecordTable`: a delivery appends its field
+values to columns, and a :class:`Delivery` is built only when the log is
+read, so a long run keeps no object per message.
 
 The scheduler shares the network's validation, latency sampling and stats
 ledger: a message scheduled here is accounted exactly like one sent through
@@ -69,6 +72,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 from repro.errors import NodeUnreachableError
+from repro.net.records import RecordTable
 from repro.net.simulator import EventSimulator
 from repro.net.trace import Trace
 
@@ -186,7 +190,7 @@ class EventScheduler:
         self.net = network
         self.sim = simulator or EventSimulator()
         self.load = load
-        self.log: list[Delivery] = []
+        self.log = RecordTable(Delivery, names=("src", "dst", "kind"), ints=("size",))
 
     @property
     def now(self) -> float:
@@ -249,7 +253,7 @@ class EventScheduler:
 
         def deliver() -> None:
             self.net.stats.record(kind, size, at=arrival)
-            self.log.append(Delivery(arrival, src, dst, kind, size, hint))
+            self.log.append(arrival, src, dst, kind, size, hint)
             if hint is not None:
                 hints.observe(dst, src, hint, arrival)
             if self.load is None:

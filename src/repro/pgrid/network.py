@@ -71,6 +71,9 @@ class PGridNetwork:
         self.fanout = fanout
         self.rng = random.Random(seed ^ 0x5EED)
         self.peers: list[PGridPeer] = []
+        #: ``online_peers()`` as of ``net.membership == _online_at``.
+        self._online: list[PGridPeer] = []
+        self._online_at = -1
         self._clock = 0  # Lamport-style version counter for updates
         self.scheduler: EventScheduler | None = None
         #: Default replica-diffusion policy for reads ("none" | "random" |
@@ -171,8 +174,15 @@ class PGridNetwork:
         return [p for p in self.peers if p.online]
 
     def random_online_peer(self, rng: random.Random | None = None) -> PGridPeer:
-        """A uniformly chosen online peer (the default gateway for operations)."""
-        online = self.online_peers()
+        """A uniformly chosen online peer (the default gateway for operations).
+
+        It draws from a cached ``online_peers()`` list, rebuilt only when a
+        node has registered, failed or recovered since, so every draw sees
+        the list ``online_peers()`` would return.
+        """
+        if self._online_at != self.net.membership:
+            self._online, self._online_at = self.online_peers(), self.net.membership
+        online = self._online
         if not online:
             raise RoutingError("no online peers in the overlay")
         return (rng or self.rng).choice(online)

@@ -124,6 +124,17 @@ def gather(
     results = [op.execute(ctx) for op in inputs]
     if local is not None:
         results = [result.in_place(local) for result in results]
+    return ship_home(ctx, results, kind, combine)
+
+
+def ship_home(
+    ctx: ExecutionContext,
+    results: Sequence[OpResult],
+    kind: str,
+    combine: Callable[..., list[Binding]],
+) -> OpResult:
+    """:func:`gather`'s second half, for inputs that already ran: ship each
+    result's rows to the coordinator and return ``combine(rows...)`` there."""
     homes = [result.at_coordinator(ctx, kind) for result in results]
     return coordinator_result(
         ctx,

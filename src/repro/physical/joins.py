@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 from repro.errors import PlanningError, RoutingError
 from repro.net.scheduler import ChainSpec, PartialChain, then_send
@@ -39,6 +40,7 @@ from repro.physical.base import (
     coordinator_result,
     gather,
     probe_join,
+    ship_home,
 )
 from repro.pgrid.routing import point_key, route_hops
 from repro.triples.index import probe_variable, v_key
@@ -135,9 +137,11 @@ class RehashJoin(_JoinBase):
         right_rows_all = right_result.all_bindings()
         shared = list(self.join_variables) or self._shared_variables(left_rows_all, right_rows_all)
         if not shared:
-            # Cartesian products cannot rendezvous — fall back to shipping.
-            ship = ShipJoin(self.left, self.right)
-            return ship.execute(ctx)
+            # Cartesian products cannot rendezvous: ship both inputs home,
+            # as ShipJoin does, without running them again.
+            return ship_home(
+                ctx, (left_result, right_result), "join-ship", partial(_hash_join, shared=[])
+            )
 
         arrivals: dict[str, dict[str, list[tuple[Binding, bool]]]] = defaultdict(
             lambda: defaultdict(list)

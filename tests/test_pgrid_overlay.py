@@ -258,3 +258,39 @@ class TestDecentralizedBootstrap:
                     misplaced += 1
         total = sum(p.load for p in pnet.peers)
         assert misplaced / max(1, total) < 0.25  # most data homed correctly
+
+
+class TestGatewayDraw:
+    """``random_online_peer`` draws from a cached online-peer list; every draw
+    must equal ``rng.choice(online_peers())`` with the same RNG state."""
+
+    def test_cached_pick_matches_a_fresh_list(self):
+        from repro.pgrid.load_balancing import migrate_peer
+        from repro.pgrid.merge import join_peer
+
+        pnet = build_network(24, replication=2, seed=23, split_by="population")
+        rng, reference = random.Random(5), random.Random(5)
+
+        def draws(count=40):
+            for _ in range(count):
+                expected = reference.choice(pnet.online_peers())
+                assert pnet.random_online_peer(rng) is expected
+                assert rng.getstate() == reference.getstate()
+
+        draws()
+        victims = pnet.peers[3:9]
+        for peer in victims:
+            peer.fail()
+        draws()
+        victims[2].recover()
+        draws()
+        join_peer(pnet, "newcomer-0", rng=random.Random(1))
+        draws()
+        groups = pnet.leaf_groups()
+        first, second = sorted(groups)[:2]
+        migrate_peer(pnet, groups[first][0], second)
+        draws()
+        for peer in victims:
+            peer.recover()
+        pnet.peers[0].fail()
+        draws()

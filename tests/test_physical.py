@@ -485,6 +485,28 @@ class TestJoinStrategies:
         ship = ShipJoin(left, right).execute(ctx)
         assert rows_of(result) == rows_of(ship)
 
+    def test_rehash_fallback_costs_what_ship_join_costs(self):
+        """With no shared variable the rehash join ships the inputs it already
+        ran, so on the same overlay it sends exactly ShipJoin's messages and
+        its trace counts every one of them."""
+        left = attribute_scan(TriplePattern(Var("a"), Literal("series"), Var("x")))
+        right = attribute_scan(TriplePattern(Var("b"), Literal("confname"), Var("y")))
+        runs = []
+        for join in (RehashJoin(left, right), ShipJoin(left, right)):
+            pnet = build_network(32, replication=2, seed=77, split_by="population")
+            store = DistributedTripleStore(pnet)
+            workload = ConferenceWorkload(
+                num_authors=25, num_publications=50, num_conferences=10, seed=77
+            )
+            store.bulk_insert(workload.all_triples())
+            ctx = ExecutionContext(store=store, coordinator=pnet.peers[0], rng=random.Random(77))
+            with pnet.net.frame() as frame:
+                result = join.execute(ctx)
+            assert result.trace.messages == frame.messages
+            runs.append((frame.messages, dict(frame.by_kind), rows_of(result)))
+        assert len(runs[0][2]) == 100
+        assert runs[0] == runs[1]
+
 
 class TestProbeKey:
     """One rule picks the index a bound variable probes, for the index-NL
