@@ -36,7 +36,7 @@ every :class:`OpRecord` ends completed or failed, deterministically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 from repro.bench.harness import mean, percentile
@@ -62,9 +62,14 @@ LOOKUP_KIND = "lookup"
 RESULT_KIND = "result"
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
-    """One driven operation, from issue to completion (or failure)."""
+    """One driven operation, from issue to completion (or failure).
+
+    ``rejected_by`` grows by one peer id per reject; it stays the shared
+    empty tuple for an operation that is never rejected, so such a record
+    is one object.
+    """
 
     index: int
     key: str
@@ -74,7 +79,7 @@ class OpRecord:
     entries: int = 0
     reroutes: int = 0
     rejections: int = 0
-    rejected_by: list[str] = field(default_factory=list)
+    rejected_by: tuple[str, ...] = ()
     error: str | None = None
 
     @property
@@ -226,7 +231,7 @@ class _OpEngine:
         """
         src_id, dst_id = hops[index]
         record.rejections += 1
-        record.rejected_by.append(dst_id)
+        record.rejected_by += (dst_id,)
         if record.rejections > MAX_REJECT_RETRIES:
             self._finish(
                 record, time, ok=False, error="rejected: retry budget exhausted", on_done=on_done
@@ -390,16 +395,25 @@ class OpenLoopDriver(_DriverBase):
         scheduler = engine.scheduler
         self._apply_churn(engine, churn_trace)
         start_time = scheduler.now
-        for index, offset in enumerate(poisson_arrivals(self.rng, self.rate, self.horizon)):
-            t = start_time + offset
-            record = OpRecord(index=index, key=self._pick_key(), issued=t)
-
-            def fire(record: OpRecord = record) -> None:
-                engine.launch(record, self._pick_gateway())
-
-            scheduler.sim.schedule_at(t, fire)
+        # Every instant, then every key, is drawn up front; the arrivals
+        # themselves are scheduled one at a time (see _arrive), so the heap
+        # holds one pending arrival rather than the whole run's.
+        offsets = poisson_arrivals(self.rng, self.rate, self.horizon)
+        due = [start_time + offset for offset in offsets]
+        keys = [self._pick_key() for _ in due]
+        if due:
+            scheduler.sim.schedule_at(due[0], self._arrive, engine, due, keys, 0)
         scheduler.run()
         return engine.records
+
+    def _arrive(self, engine: _OpEngine, due: list[float], keys: list[str], index: int) -> None:
+        """Operation ``index`` arrives: schedule the next arrival, then launch."""
+        following = index + 1
+        if following < len(due):
+            sim = engine.scheduler.sim
+            sim.schedule_at(due[following], self._arrive, engine, due, keys, following)
+        record = OpRecord(index=index, key=keys[index], issued=due[index])
+        engine.launch(record, self._pick_gateway())
 
 
 class ClosedLoopDriver(_DriverBase):
@@ -432,24 +446,21 @@ class ClosedLoopDriver(_DriverBase):
         engine = self._engine()
         scheduler = engine.scheduler
         self._apply_churn(engine, churn_trace)
-        counter = [0]
-
-        def issue(remaining: int) -> None:
-            record = OpRecord(index=counter[0], key=self._pick_key(), issued=scheduler.now)
-            counter[0] += 1
-
-            def done(_record: OpRecord) -> None:
-                if remaining > 1:
-                    scheduler.sim.schedule(self.think_time, lambda: issue(remaining - 1))
-
-            engine.launch(record, self._pick_gateway(), on_done=done)
-
         start_time = scheduler.now
         for _client in range(self.clients):
             # Stagger client starts slightly so launch order is not degenerate.
-            scheduler.sim.schedule_at(
-                start_time + self.rng.uniform(0.0, 1e-3),
-                lambda: issue(self.ops_per_client),
-            )
+            start = start_time + self.rng.uniform(0.0, 1e-3)
+            scheduler.sim.schedule_at(start, self._issue, engine, self.ops_per_client)
         scheduler.run()
         return engine.records
+
+    def _issue(self, engine: _OpEngine, remaining: int) -> None:
+        """A client issues its next operation, ``remaining`` counting this one."""
+        scheduler = engine.scheduler
+        record = OpRecord(index=len(engine.records), key=self._pick_key(), issued=scheduler.now)
+
+        def done(_record: OpRecord) -> None:
+            if remaining > 1:
+                scheduler.sim.schedule(self.think_time, self._issue, engine, remaining - 1)
+
+        engine.launch(record, self._pick_gateway(), on_done=done)

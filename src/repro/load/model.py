@@ -143,6 +143,10 @@ class NodeQueue:
     #: EWMA weight for the advertised (smoothed) queue depth.
     EWMA_ALPHA = 0.5
 
+    #: The peer's speed factor and admission policy, fixed when
+    #: :meth:`LoadModel.queue` creates the queue.
+    speed: float = 1.0
+    policy: ThresholdAdmission | None = None
     busy_until: float = 0.0
     jobs: int = 0
     busy_time: float = 0.0
@@ -277,9 +281,11 @@ class LoadModel:
         return self.profile.cost(kind) / self.speed(node_id)
 
     def queue(self, node_id: str) -> NodeQueue:
+        """``node_id``'s work queue, created with its speed and policy on first use."""
         queue = self._queues.get(node_id)
         if queue is None:
-            queue = self._queues[node_id] = NodeQueue()
+            queue = NodeQueue(speed=self.speed(node_id), policy=self.policy(node_id))
+            self._queues[node_id] = queue
         return queue
 
     def backlog(self, node_id: str, now: float) -> float:
@@ -306,10 +312,9 @@ class LoadModel:
         verdict mutates the queue and records a sample (see
         :meth:`NodeQueue.offer`, including the ``parked`` re-offer flag).
         """
-        service = self.service_time(node_id, kind)
-        verdict, start, finish, depth = self.queue(node_id).offer(
-            arrival, service, self.policy(node_id), parked=parked
-        )
+        queue = self._queues.get(node_id) or self.queue(node_id)
+        service = self.profile.cost(kind) / queue.speed
+        verdict, start, finish, depth = queue.offer(arrival, service, queue.policy, parked=parked)
         if verdict == ACCEPT:
             self.samples.append(node_id, kind, size, arrival, start, finish)
         return verdict, start, finish, depth
@@ -318,8 +323,8 @@ class LoadModel:
         self, node_id: str, arrival: float, kind: str, size: int = 1
     ) -> tuple[float, float, int]:
         """Queue one delivered message; return ``(start, finish, depth)``."""
-        service = self.service_time(node_id, kind)
-        start, finish, depth = self.queue(node_id).admit(arrival, service)
+        queue = self._queues.get(node_id) or self.queue(node_id)
+        start, finish, depth = queue.admit(arrival, self.profile.cost(kind) / queue.speed)
         self.samples.append(node_id, kind, size, arrival, start, finish)
         return start, finish, depth
 

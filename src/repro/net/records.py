@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import fields
 from math import nan
-from typing import Generic, Iterator, TypeVar
+from typing import Callable, Generic, Iterator, TypeVar
 
 R = TypeVar("R")
 
@@ -34,11 +34,13 @@ class RecordTable(Generic[R]):
     """Records of one dataclass type, stored column-wise; reads like a list.
 
     ``names`` and ``ints`` name the record's string and int fields; every
-    other field is a float (or ``None``).  :meth:`append` takes the field
-    values in the record's field order.
+    other field is a float (or ``None``).  ``append(*values)`` appends one
+    record, given as its field values in the record's field order.  It is
+    built once per table as straight-line code over the columns, the way
+    :mod:`dataclasses` builds an ``__init__``, so an append runs no loop.
     """
 
-    __slots__ = ("_record", "_columns", "_name_puts", "_value_puts", "_index", "_names", "_kinds")
+    __slots__ = ("_record", "_columns", "_index", "_names", "_kinds", "append")
 
     def __init__(self, record: type[R], names: tuple[str, ...], ints: tuple[str, ...]):
         self._record = record
@@ -47,20 +49,26 @@ class RecordTable(Generic[R]):
             "n" if f.name in names else "i" if f.name in ints else "f" for f in fields(record)
         )
         self._columns = tuple(array("d" if kind == "f" else "q") for kind in self._kinds)
-        puts = [(position, column.append) for position, column in enumerate(self._columns)]
-        self._name_puts = tuple(put for put, kind in zip(puts, self._kinds) if kind == "n")
-        self._value_puts = tuple(put for put, kind in zip(puts, self._kinds) if kind != "n")
         self._index: dict[str, int] = {}
         self._names: list[str] = []
+        self.append = self._compile_append([f.name for f in fields(record)])
 
-    def append(self, *values) -> None:
-        """Append one record, given as its field values in field order."""
+    def _compile_append(self, field_names: list[str]) -> Callable[..., None]:
+        """The ``append`` of this table: one column put per field, no loop."""
         index = self._index
-        for position, put in self._name_puts:
-            put(index.setdefault(values[position], len(index)))
-        for position, put in self._value_puts:
-            value = values[position]
-            put(nan if value is None else value)
+        namespace = {"_index": index, "_setdefault": index.setdefault, "_nan": nan}
+        body = []
+        for position, (name, kind) in enumerate(zip(field_names, self._kinds)):
+            namespace[f"_put{position}"] = self._columns[position].append
+            if kind == "n":  # a name is stored as its index in the name list
+                value = f"_setdefault({name}, len(_index))"
+            elif kind == "i":
+                value = name
+            else:
+                value = f"_nan if {name} is None else {name}"
+            body.append(f"    _put{position}({value})")
+        exec(f"def append({', '.join(field_names)}):\n" + "\n".join(body), namespace)
+        return namespace["append"]
 
     def clear(self) -> None:
         """Drop every record (and the name list)."""

@@ -11,6 +11,11 @@ destinations therefore *completes at the max* of its per-destination chains
 because that is when its last event fires — the paper's parallel-lookup
 latency argument, reproduced mechanically instead of assumed.
 
+An event is a handler and its arguments: :meth:`EventScheduler.send_at`
+schedules the bound ``_deliver`` with the message's fields, and a service
+completion, a NACK fallback or a park retry is scheduled the same way, so
+a message builds no closure.
+
 The routed operations of :mod:`repro.pgrid` reach the scheduler through
 :meth:`EventScheduler.run_chains`, which runs the one :class:`ChainSpec`
 form (nested follow-up chains and replies, as the shower range query's tree
@@ -78,6 +83,7 @@ from repro.net.trace import Trace
 
 if TYPE_CHECKING:
     from repro.load.model import LoadModel
+    from repro.load.shedding import HintRegistry
     from repro.net.network import Network
 
 #: Message kind of the admission-control NACK sent back to a rejected sender.
@@ -232,7 +238,7 @@ class EventScheduler:
         """
         if src == dst:
             if on_delivered is not None:
-                self.sim.schedule_at(time, lambda: on_delivered(time))
+                self.sim.schedule_at(time, on_delivered, time)
             return time
         dst_node = self.net.nodes.get(dst)
         if dst_node is None:
@@ -250,20 +256,47 @@ class EventScheduler:
         hint: float | None = None
         if hints is not None and self.load is not None:
             hint = self.load.advertised_depth(src, time)
-
-        def deliver() -> None:
-            self.net.stats.record(kind, size, at=arrival)
-            self.log.append(arrival, src, dst, kind, size, hint)
-            if hint is not None:
-                hints.observe(dst, src, hint, arrival)
-            if self.load is None:
-                if on_delivered is not None:
-                    on_delivered(arrival)
-                return
-            self._offer(src, dst, arrival, kind, size, arrival, on_delivered, on_rejected, 0)
-
-        self.sim.schedule_at(arrival, deliver)
+        self.sim.schedule_at(
+            arrival,
+            self._deliver,
+            src,
+            dst,
+            kind,
+            size,
+            arrival,
+            hint,
+            hints,
+            on_delivered,
+            on_rejected,
+        )
         return arrival
+
+    def _deliver(
+        self,
+        src: str,
+        dst: str,
+        kind: str,
+        size: int,
+        arrival: float,
+        hint: float | None,
+        hints: "HintRegistry | None",
+        on_delivered: Completion | None,
+        on_rejected: Completion | None,
+    ) -> None:
+        """The delivery event of a message :meth:`send_at` scheduled.
+
+        ``hint`` is the depth stamped at departure and ``hints`` the
+        registry that was attached then, which observes it.
+        """
+        self.net.stats.record(kind, size, at=arrival)
+        self.log.append(arrival, src, dst, kind, size, hint)
+        if hint is not None:
+            hints.observe(dst, src, hint, arrival)
+        if self.load is None:
+            if on_delivered is not None:
+                on_delivered(arrival)
+            return
+        self._offer(src, dst, arrival, kind, size, arrival, on_delivered, on_rejected, 0)
 
     def _offer(
         self,
@@ -302,7 +335,7 @@ class EventScheduler:
                 # event sequence matches the load-free scheduler exactly.
                 on_delivered(arrival)
             else:
-                self.sim.schedule_at(finish, lambda: on_delivered(finish))
+                self.sim.schedule_at(finish, on_delivered, finish)
             return
         if verdict == "reject":  # only possible on the first, unparked offer
             self.net.stats.record_reject(dst)
@@ -314,7 +347,7 @@ class EventScheduler:
                 except NodeUnreachableError:
                     # Sender churned away; fire the callback directly so the
                     # operation's bookkeeping still completes.
-                    self.sim.schedule_at(at, lambda: on_rejected(at))
+                    self.sim.schedule_at(at, on_rejected, at)
                 return
             # Nobody to tell: park the job so it is not lost.
         else:
@@ -322,9 +355,16 @@ class EventScheduler:
         retry = at + PARK_PENALTY
         self.sim.schedule_at(
             retry,
-            lambda: self._offer(
-                src, dst, retry, kind, size, arrival, on_delivered, on_rejected, defers + 1
-            ),
+            self._offer,
+            src,
+            dst,
+            retry,
+            kind,
+            size,
+            arrival,
+            on_delivered,
+            on_rejected,
+            defers + 1,
         )
 
     def chain(self, spec: ChainSpec, at: float | None = None) -> None:
@@ -427,7 +467,7 @@ class EventScheduler:
         else:
             # A wave's zero-hop chain arrives through the simulator, so its
             # destination work runs after the whole wave has departed.
-            self.sim.schedule_at(at, lambda: arrived(at))
+            self.sim.schedule_at(at, _Walk(self, chain, arrived).step, at)
 
     def run(self, until: float | None = None) -> None:
         """Drain scheduled events (up to ``until``), advancing the clock."""

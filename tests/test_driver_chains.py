@@ -197,7 +197,7 @@ class ReferenceEngine:
         silently.
         """
         record.rejections += 1
-        record.rejected_by.append(dst_id)
+        record.rejected_by += (dst_id,)
         if record.rejections > MAX_REJECT_RETRIES:
             self._finish(
                 record, time, ok=False, error="rejected: retry budget exhausted", on_done=on_done

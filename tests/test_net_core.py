@@ -204,6 +204,57 @@ class TestEventSimulator:
         sim.run()
         assert seen == [2.0]
 
+    def test_handler_receives_its_args(self):
+        sim = EventSimulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "one")
+        sim.schedule_at(2.0, lambda *args: seen.append(args), "a", 2, None)
+        sim.schedule_at(3.0, seen.extend, ())
+        sim.run()
+        assert seen == ["one", ("a", 2, None)]
+
+    def test_fifo_for_ties_with_and_without_args(self):
+        sim = EventSimulator()
+        order = []
+        sim.schedule(1.0, order.append, 1)
+        sim.schedule_at(1.0, lambda: order.append(2))
+        sim.schedule_at(1.0, order.append, 3)
+        sim.schedule(0.5, lambda: sim.schedule(0.5, order.append, 5))  # later seq
+        sim.schedule(1.0, lambda: order.append(4))
+        sim.run()
+        assert order == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("args", [(), ("x", 1)], ids=["no-args", "args"])
+    def test_negative_delay_rejected_with_and_without_args(self, args):
+        sim = EventSimulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.schedule(-1e-9, print, *args)
+        with pytest.raises(ValueError):
+            sim.schedule_at(0.5, print, *args)
+        assert sim.pending() == 0
+
+    def test_schedule_at_fires_at_exactly_the_given_time(self):
+        now, time = 1.1351641848733607e-10, 1.2561817712792702
+        assert now + (time - now) != time  # a rounding tie: one ulp off
+        sim = EventSimulator()
+        sim.run(until=now)
+        seen = []
+        sim.schedule_at(time, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [time]
+
+    def test_until_leaves_later_events_with_args_pending(self):
+        sim = EventSimulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "early")
+        sim.schedule(5.0, seen.append, "late")
+        sim.run(until=2.0)
+        assert seen == ["early"] and sim.now == 2.0 and sim.pending() == 1
+        sim.run()
+        assert seen == ["early", "late"] and sim.now == 5.0
+
 
 class TestChurn:
     def _make_nodes(self, count):
