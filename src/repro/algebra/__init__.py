@@ -41,6 +41,7 @@ from repro.algebra.semantics import (
     match_pattern,
     merge_bindings,
     order_sort_key,
+    pattern_matcher,
     skyline_of,
     skyline_values,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "SubstringConstraint",
     "EdistConstraint",
     "match_pattern",
+    "pattern_matcher",
     "merge_bindings",
     "compatible",
     "join_key",

@@ -29,9 +29,9 @@ from repro.algebra.semantics import (
     Binding,
     compatible,
     join_key,
-    match_pattern,
     merge_bindings,
     order_sort_key,
+    pattern_matcher,
     skyline_of,
 )
 from repro.strings import edit_distance_within
@@ -41,9 +41,10 @@ from repro.triples.triple import Triple
 def execute_reference(plan: LogicalPlan, triples: list[Triple]) -> list[Binding]:
     """Evaluate ``plan`` over ``triples``, centrally."""
     if isinstance(plan, PatternScan):
+        match = pattern_matcher(plan.pattern)
         bindings = []
         for triple in triples:
-            binding = match_pattern(plan.pattern, triple)
+            binding = match(triple)
             if binding is None:
                 continue
             if all(satisfies(f, binding) for f in plan.filters):

@@ -5,11 +5,20 @@ the distributed physical operators (:mod:`repro.physical`) implement the same
 algebra; this module holds the single source of truth for binding
 compatibility, pattern matching, sort keys and skyline dominance so the two
 executors cannot drift apart (tests assert they agree).
+
+Pattern matching is compiled.  :func:`pattern_matcher` turns a triple
+pattern into a function of one triple, with one straight-line test per
+literal and per repeated variable, and caches it by pattern.  Operators
+resolve a pattern's matcher once per execution and call it per triple;
+:func:`match_pattern` is the one-call form, for callers that match a few
+triples.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from collections.abc import Callable, Iterable
+from functools import lru_cache
+from typing import Any
 
 from repro.triples.triple import Triple
 from repro.vql.ast import Literal, OrderItem, SkylineItem, TriplePattern, Var
@@ -17,29 +26,51 @@ from repro.vql.ast import Literal, OrderItem, SkylineItem, TriplePattern, Var
 Binding = dict[str, Any]
 
 
-def match_pattern(pattern: TriplePattern, triple: Triple) -> Binding | None:
-    """Unify a triple against a pattern; return the binding or ``None``."""
-    binding: Binding = {}
-    for term, value in (
-        (pattern.subject, triple.oid),
-        (pattern.predicate, triple.attribute),
-        (pattern.object, triple.value),
+#: A compiled pattern: a triple's binding, or ``None`` when it does not match.
+Matcher = Callable[[Triple], Binding | None]
+
+_POSITIONS = ("oid", "attribute", "value")
+
+
+@lru_cache(maxsize=1024)
+def pattern_matcher(pattern: TriplePattern) -> Matcher:
+    """``pattern`` compiled into straight-line code: one test per literal and
+    per repeated variable, then the binding.
+
+    A term compares with ``!=`` exactly as unification does: a literal
+    against the triple's value at its position, a repeated variable's later
+    position against its first, which also supplies the bound value.  The
+    binding's keys follow the variables' first positions.  Matchers are
+    cached by pattern; equal patterns match alike, so a cached matcher
+    serves every pattern equal to its own.
+    """
+    namespace: dict[str, object] = {}
+    tests: list[str] = []
+    first: dict[str, str] = {}  # variable -> the local holding its first value
+    for position, (term, field) in enumerate(
+        zip((pattern.subject, pattern.predicate, pattern.object), _POSITIONS)
     ):
+        local = f"triple.{field}"
         if isinstance(term, Var):
-            bound = binding.get(term.name, _UNSET)
-            if bound is _UNSET:
-                binding[term.name] = value
-            elif bound != value:
-                return None
+            if term.name in first:
+                tests.append(f"{first[term.name]} != {local}")
+            else:
+                first[term.name] = local
         elif isinstance(term, Literal):
-            if term.value != value:
-                return None
+            namespace[f"_literal{position}"] = term.value
+            tests.append(f"_literal{position} != {local}")
         else:  # pragma: no cover - parser only produces Var/Literal
             raise TypeError(f"unexpected term {term!r}")
-    return binding
+    body = [f"    if {test}:\n        return None" for test in tests]
+    items = ", ".join(f"{name!r}: {local}" for name, local in first.items())
+    body.append(f"    return {{{items}}}")
+    exec("def match(triple):\n" + "\n".join(body), namespace)
+    return namespace["match"]  # type: ignore[return-value]
 
 
-_UNSET = object()
+def match_pattern(pattern: TriplePattern, triple: Triple) -> Binding | None:
+    """Unify a triple against a pattern; return the binding or ``None``."""
+    return pattern_matcher(pattern)(triple)
 
 
 def compatible(a: Binding, b: Binding) -> bool:

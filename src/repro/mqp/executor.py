@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace as dataclass_replace
 
 from repro.errors import ExecutionError
 from repro.net.trace import Trace
-from repro.algebra.expressions import satisfies
 from repro.algebra.operators import PatternScan
 from repro.algebra.semantics import Binding, bound_variables
 from repro.mqp.plan import MutantQueryPlan
@@ -43,6 +42,7 @@ from repro.optimizer.adaptive import Step, choose_next_step
 from repro.optimizer.cost_model import CostModel
 from repro.physical.base import (
     ExecutionContext,
+    FilterCheck,
     OpResult,
     PhysicalOperator,
     coordinator_result,
@@ -200,5 +200,6 @@ def _apply_ready_filters(plan: MutantQueryPlan) -> list[Binding] | None:
     if not ready:
         return plan.bindings
     plan.residual_filters = [f for f in plan.residual_filters if f not in ready]
-    return [row for row in plan.bindings if all(satisfies(f, row) for f in ready)]
+    check = FilterCheck(ready)
+    return [row for row in plan.bindings if check(row)]
 

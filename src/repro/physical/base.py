@@ -22,11 +22,18 @@ from dataclasses import dataclass, field
 
 from repro.net.trace import Trace
 from repro.algebra.expressions import satisfies
-from repro.algebra.semantics import Binding, compatible, match_pattern, merge_bindings
+from repro.algebra.semantics import (
+    Binding,
+    Matcher,
+    bound_variables,
+    compatible,
+    merge_bindings,
+    pattern_matcher,
+)
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 from repro.triples.index import probe_key
-from repro.triples.store import DistributedTripleStore, stored_triples
+from repro.triples.store import DistributedTripleStore, stored_matches
 from repro.vql.ast import Expression, TriplePattern, expression_variables
 
 
@@ -206,29 +213,27 @@ class FilterCheck:
 
 def match_postings(
     entries,
-    pattern: TriplePattern,
+    match: Matcher,
     variable: str,
     value,
     check: FilterCheck,
 ) -> list[Binding]:
     """Bindings produced by the index postings under one probe key.
 
-    Deduplicates triples, unifies them against ``pattern``, keeps only
-    matches whose ``variable`` equals the probed ``value`` and that pass
-    ``check``.  Equality is the join's own, so a non-string value probing
-    the OID index under its string form matches no OID, exactly as in the
-    reference executor.
+    Keeps the :func:`~repro.triples.store.stored_matches` bindings whose
+    ``variable`` equals the probed ``value`` and that pass ``check``.
+    Equality is the join's own, so a non-string value probing the OID index
+    under its string form matches no OID, exactly as in the reference
+    executor.
 
-    Called by :func:`probe_join` with one ``check`` for all probe values.
+    Called by :func:`probe_join` with one matcher and one ``check`` for all
+    probe values.
     """
-    matches: list[Binding] = []
-    for triple in stored_triples(entries):
-        binding = match_pattern(pattern, triple)
-        if binding is None or binding.get(variable) != value:
-            continue
-        if check(binding):
-            matches.append(binding)
-    return matches
+    return [
+        binding
+        for binding in stored_matches(entries, match)
+        if binding.get(variable) == value and check(binding)
+    ]
 
 
 def probe_join(
@@ -256,16 +261,20 @@ def probe_join(
     trace = Trace.ZERO
     if keys:
         entries_by_key, trace = ctx.pnet.lookup_many(keys.values(), start=start, kind=message_kind)
+    match = pattern_matcher(pattern)
     check = FilterCheck(filters)
     matches = {
-        value: match_postings(entries_by_key.get(key, []), pattern, variable, value, check)
+        value: match_postings(entries_by_key.get(key, []), match, variable, value, check)
         for value, key in keys.items()
     }
+    # A match agrees with its row on ``variable``; only another shared
+    # variable needs the compatibility check.
+    shared = (pattern.variables() - {variable}) & bound_variables(rows)
     joined = [
-        merge_bindings(row, match)
+        merge_bindings(row, found)
         for row in rows
-        for match in matches.get(row.get(variable), ())
-        if compatible(row, match)
+        for found in matches.get(row.get(variable), ())
+        if not shared or compatible(row, found)
     ]
     return joined, trace
 

@@ -13,7 +13,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.net.trace import Trace
-from repro.algebra.expressions import satisfies
 from repro.algebra.semantics import (
     Binding,
     bound_variables,
@@ -21,7 +20,7 @@ from repro.algebra.semantics import (
     merge_bindings,
     order_sort_key,
 )
-from repro.physical.base import ExecutionContext, OpResult, PhysicalOperator, gather
+from repro.physical.base import ExecutionContext, FilterCheck, OpResult, PhysicalOperator, gather
 from repro.vql.ast import Expression, OrderItem, Var
 
 
@@ -38,9 +37,8 @@ class FilterOp(PhysicalOperator):
         return (self.child,)
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        return self.child.execute(ctx).in_place(
-            lambda rows: [row for row in rows if satisfies(self.predicate, row)]
-        )
+        check = FilterCheck((self.predicate,))
+        return self.child.execute(ctx).in_place(lambda rows: [row for row in rows if check(row)])
 
     def _label(self) -> str:
         return f"FilterOp σ[{self.predicate}]"

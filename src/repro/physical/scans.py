@@ -37,7 +37,13 @@ from typing import Collection
 from repro.errors import PlanningError
 from repro.net.trace import Trace
 from repro.algebra.expressions import replace_terms, satisfies
-from repro.algebra.semantics import Binding, compatible, match_pattern, merge_bindings
+from repro.algebra.semantics import (
+    Binding,
+    Matcher,
+    compatible,
+    merge_bindings,
+    pattern_matcher,
+)
 from repro.physical.base import (
     ExecutionContext,
     FilterCheck,
@@ -53,8 +59,8 @@ from repro.pgrid.range_query import (
 from repro.strings import distinct_count_filter_threshold, edit_distance_within, qgrams
 from repro.triples.index import INDEX_TAG, IndexKind, av_attribute_range, qgram_key
 from repro.triples.local_index import TupleIndex, tuple_index
-from repro.triples.store import stored_triples
-from repro.triples.triple import Value
+from repro.triples.store import stored_matches
+from repro.triples.triple import Triple, Value
 from repro.vql.ast import Expression, FunctionCall, Literal, TriplePattern, Var
 
 #: Strategy -> the name ``explain()`` prints for an index scan.
@@ -78,18 +84,14 @@ class _ScanBase(PhysicalOperator):
     pattern: TriplePattern
     filters: tuple[Expression, ...]
 
-    def _bindings(self, entries, check: FilterCheck) -> list[Binding]:
+    def _bindings(self, entries, match: Matcher, check: FilterCheck) -> list[Binding]:
         """Convert one peer's index postings to filtered bindings.
 
-        Deduplicates triples within ``entries`` (one peer's result); one
-        ``check`` shares filter verdicts across several peers' calls.
+        ``match`` is the pattern's matcher.  :func:`stored_matches`
+        deduplicates the matching triples within ``entries`` (one peer's
+        result); one ``match`` and one ``check`` serve several peers' calls.
         """
-        bindings: list[Binding] = []
-        for triple in stored_triples(entries):
-            binding = match_pattern(self.pattern, triple)
-            if binding is not None and check(binding):
-                bindings.append(binding)
-        return bindings
+        return [binding for binding in stored_matches(entries, match) if check(binding)]
 
     def _label(self) -> str:
         extra = f" | {' AND '.join(str(f) for f in self.filters)}" if self.filters else ""
@@ -105,7 +107,7 @@ class IndexLookup(_ScanBase):
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
         entries, trace, destination = ctx.pnet.lookup_at(self.key, start=ctx.coordinator)
-        bindings = self._bindings(entries, FilterCheck(self.filters))
+        bindings = self._bindings(entries, pattern_matcher(self.pattern), FilterCheck(self.filters))
         groups = [(destination.node_id, bindings)] if bindings else []
         return OpResult(groups=groups, trace=trace)
 
@@ -130,10 +132,11 @@ class IndexRange(_ScanBase):
             )
         else:
             raise PlanningError(f"unknown range algorithm {algorithm!r}")
+        match = pattern_matcher(self.pattern)
         check = FilterCheck(self.filters)
         result_groups = []
         for peer_id, entries in groups:
-            bindings = self._bindings(entries, check)
+            bindings = self._bindings(entries, match, check)
             if bindings:
                 result_groups.append((peer_id, bindings))
         return OpResult(groups=result_groups, trace=trace, complete=complete)
@@ -182,36 +185,45 @@ class QGramScan(_ScanBase):
             found, trace = ctx.pnet.lookup(qgram_key(gram), start=ctx.coordinator, kind="qgram")
             branches.append(trace)
             entries.extend(found)
-        candidates = [t for t in stored_triples(entries) if t.attribute == attribute]
 
-        # Many candidates share a value: verify each distinct value once.
-        distances = {
-            value: edit_distance_within(value, self.text, self.max_distance)
-            for value in {t.value for t in candidates if isinstance(t.value, str)}
-        }
-        check = self._check(distances)
-        bindings: list[Binding] = []
-        for triple in candidates:
-            if distances.get(triple.value) is None:
+        # Many postings share a value: verify each distinct value once, then
+        # match and deduplicate only the postings within the distance.
+        distances: dict[Value, int | None] = {}
+        near = []
+        for entry in entries:
+            triple = entry.value
+            if not isinstance(triple, Triple) or triple.attribute != attribute:
                 continue
-            binding = match_pattern(self.pattern, triple)
-            if binding is not None and check(binding):
-                bindings.append(binding)
+            value = triple.value
+            if value not in distances:
+                distances[value] = (
+                    edit_distance_within(value, self.text, self.max_distance)
+                    if isinstance(value, str)
+                    else None
+                )
+            if distances[value] is not None:
+                near.append(entry)
+        check = self._check(distances)
+        bindings = [b for b in stored_matches(near, pattern_matcher(self.pattern)) if check(b)]
         return coordinator_result(ctx, bindings, Trace.parallel(branches))
 
     def _check(self, distances: dict[Value, int | None]) -> FilterCheck:
         """The scan's filters, told each verified value's distance so that a
-        filter over ``edist(?object, text)`` does not compute it again."""
+        filter over ``edist(?object, text)`` does not compute it again
+        (``None``: not a string, or farther than ``max_distance``)."""
         check = FilterCheck(self.filters)
         object_ = self.pattern.object
         if isinstance(object_, Var):
             text = Literal(self.text)
             calls = (FunctionCall("edist", (object_, text)), FunctionCall("edist", (text, object_)))
+            within = set(distances.values()) - {None}
             for expr in self.filters:
+                # The rewrite depends on the distance only, not on the value.
+                known = {d: replace_terms(expr, calls, Literal(d)) for d in within}
+                known = {d: rewritten for d, rewritten in known.items() if rewritten != expr}
                 for value, distance in distances.items():
-                    known = replace_terms(expr, calls, Literal(distance))
-                    if distance is not None and known != expr:
-                        check.settle(expr, value, satisfies(known, {object_.name: value}))
+                    if distance in known:
+                        check.settle(expr, value, satisfies(known[distance], {object_.name: value}))
         return check
 
     def _probe_grams(self) -> list[str]:
@@ -266,12 +278,13 @@ class OidClusterScan(PhysicalOperator):
             ctx.pnet, key_range, start=ctx.coordinator, rng=ctx.rng
         )
         check = FilterCheck(self.filters)
+        star = self._compile()
         result_groups: list[tuple[str, list[Binding]]] = []
         for peer_id, entries in groups:
             index = tuple_index(ctx.pnet.net.nodes[peer_id].store, entries)
             bindings: list[Binding] = []
             for oid in self._candidates(index, check):
-                bindings.extend(self._evaluate_star(index, oid, check))
+                bindings.extend(self._evaluate_star(index, oid, star, check))
             if bindings:
                 result_groups.append((peer_id, bindings))
         return OpResult(groups=result_groups, trace=trace, complete=complete)
@@ -306,29 +319,49 @@ class OidClusterScan(PhysicalOperator):
                 shortest = candidates
         return shortest
 
-    def _evaluate_star(self, index: TupleIndex, oid: str, check: FilterCheck) -> list[Binding]:
+    def _compile(self) -> list[tuple[Literal | None, Matcher, bool]]:
+        """Per pattern, aligned with ``self.patterns``: its literal predicate
+        (``None`` for a variable), its matcher, and whether it shares a
+        variable other than the subject with an earlier pattern."""
+        star = []
+        earlier: set[str] = set()  # the earlier patterns' variables, but the subject
+        for pattern in self.patterns:
+            names = pattern.variables() - {self.subject_variable}
+            predicate = pattern.predicate
+            literal = predicate if isinstance(predicate, Literal) else None
+            star.append((literal, pattern_matcher(pattern), bool(names & earlier)))
+            earlier |= names
+        return star
+
+    @staticmethod
+    def _evaluate_star(
+        index: TupleIndex,
+        oid: str,
+        star: list[tuple[Literal | None, Matcher, bool]],
+        check: FilterCheck,
+    ) -> list[Binding]:
         """Local BGP evaluation over one tuple's triples.
 
-        A pattern with a literal predicate is unified only against the
-        triples of that attribute (in their original order).
+        ``star`` is :meth:`_compile`'s.  A pattern with a literal predicate
+        is matched only against the triples of that attribute (in their
+        original order).  Every partial binding binds the same variables,
+        and all of them bind the subject to ``oid``, so a pattern sharing no
+        other variable with the earlier ones merges without a check.
         """
         by_attribute = index.attributes[oid]
         partial: list[Binding] = [{}]
-        for pattern in self.patterns:
-            predicate = pattern.predicate
+        for predicate, match, shares in star:
             candidates = (
-                by_attribute.get(predicate.value, [])
-                if isinstance(predicate, Literal)
-                else index.triples[oid]
+                index.triples[oid] if predicate is None else by_attribute.get(predicate.value, [])
             )
-            matches = [b for t in candidates if (b := match_pattern(pattern, t)) is not None]
+            matches = [b for t in candidates if (b := match(t)) is not None]
             if not matches:
                 return []
             partial = [
-                merge_bindings(base, match)
+                merge_bindings(base, found)
                 for base in partial
-                for match in matches
-                if compatible(base, match)
+                for found in matches
+                if not shares or compatible(base, found)
             ]
             if not partial:
                 return []

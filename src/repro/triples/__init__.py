@@ -26,7 +26,7 @@ from repro.triples.mappings import (
     MappingCatalog,
     SchemaMapping,
 )
-from repro.triples.store import DistributedTripleStore, stored_triples
+from repro.triples.store import DistributedTripleStore, stored_matches, stored_triples
 from repro.triples.triple import (
     Triple,
     Value,
@@ -40,6 +40,7 @@ __all__ = [
     "triples_from_tuple",
     "tuple_from_triples",
     "DistributedTripleStore",
+    "stored_matches",
     "stored_triples",
     "IndexKind",
     "INDEX_TAG",

@@ -5,15 +5,16 @@ Service" pair (Fig. 1, layers 2-3).
 indexes (plus, optionally, a q-gram similarity index over string values).
 The stored value under every index key is the :class:`Triple` itself; the
 key's 2-bit tag (:data:`~repro.triples.index.INDEX_TAG`) says which index
-an entry belongs to.  :func:`stored_triples` is the one decoder of stored
-values: it yields the distinct triples of some entries and skips values
-that are not a ``Triple`` (an application may store its own values in the
-same overlay).
+an entry belongs to.  :func:`stored_triples` and :func:`stored_matches` are
+the decoders of stored values: the first yields the distinct triples of
+some entries, the second the matches of the distinct triples a matcher
+accepts.  Both skip values that are not a ``Triple`` (an application may
+store its own values in the same overlay).
 
 The physical query operators do not read through this class: they call the
 overlay's :meth:`~repro.pgrid.network.PGridNetwork.lookup_at` and
 :meth:`~repro.pgrid.network.PGridNetwork.lookup_many` and the shower /
-sequential range groups directly, and decode with :func:`stored_triples`.
+sequential range groups directly, and decode with :func:`stored_matches`.
 Here live:
 
 * maintenance — :meth:`insert`/:meth:`insert_tuple`/:meth:`insert_tuples_batch`
@@ -33,7 +34,8 @@ result, so upper layers can compose full query-plan costs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from typing import TypeVar
 
 from repro.errors import StorageError
 from repro.net.trace import Trace
@@ -64,6 +66,8 @@ from repro.triples.triple import Triple, Value, triples_from_tuple
 #: through a descriptor, and bulk loads build one item id per posting.
 _KIND_TAG = {kind: kind.value for kind in IndexKind}
 
+T = TypeVar("T")
+
 
 def _item_id(kind: IndexKind, identity: str, extra: str = "") -> str:
     """DHT item id of a posting of the triple with ``identity``."""
@@ -84,6 +88,22 @@ def stored_triples(entries: Iterable[Entry]) -> Iterator[Triple]:
         if isinstance(triple, Triple) and triple not in seen:
             seen.add(triple)
             yield triple
+
+
+def stored_matches(entries: Iterable[Entry], match: Callable[[Triple], T | None]) -> list[T]:
+    """``match``'s results for the distinct triples stored in ``entries``
+    that it accepts (returns other than ``None`` for), in first-seen order.
+
+    Values that are not a :class:`Triple` are skipped.  Only accepted
+    triples are deduplicated; equal triples are accepted alike, so the
+    results and their order are those of matching :func:`stored_triples`.
+    """
+    found: dict[Triple, T] = {}  # keeps the first of equal triples
+    for entry in entries:
+        triple = entry.value
+        if isinstance(triple, Triple) and (result := match(triple)) is not None:
+            found.setdefault(triple, result)
+    return list(found.values())
 
 
 class DistributedTripleStore:
