@@ -36,6 +36,9 @@ order the simulator already fixes, and speed factors come from a seeded RNG.
 Each admitted message leaves one :class:`ServiceSample` in
 :attr:`LoadModel.samples`, a :class:`~repro.net.records.RecordTable`: the
 sample's fields are appended to columns and the record is built when read.
+
+The queues alone count per-peer service; wait and sojourn run from a job's
+network arrival, so time parked by admission control counts as waiting.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class ServiceSample:
 
     @property
     def wait(self) -> float:
-        """Queueing delay: time between arrival and start of service."""
+        """Queueing delay from network arrival (park rounds included) to service."""
         return self.start - self.arrival
 
     @property
@@ -158,19 +161,24 @@ class NodeQueue:
     ewma_depth: float = 0.0
     _finishes: deque = field(default_factory=deque)
 
-    def admit(self, arrival: float, service: float) -> tuple[float, float, int]:
-        """Admit one job; return ``(start, finish, depth_on_arrival)``.
+    def admit(
+        self, at: float, service: float, arrival: float | None = None
+    ) -> tuple[float, float, int]:
+        """Admit one job at ``at``; return ``(start, finish, depth_on_arrival)``.
 
         ``depth_on_arrival`` counts the jobs already in the system (queued or
-        in service) when this one arrived — the M/G/1-style backlog the new
-        job waits behind.
+        in service) at ``at`` — the M/G/1-style backlog the new job waits
+        behind.  ``arrival`` is the job's network arrival (default ``at``);
+        its wait and sojourn are counted from it.
         """
         if service < 0:
             raise ValueError(f"service time must be >= 0, got {service}")
-        while self._finishes and self._finishes[0] <= arrival:
+        if arrival is None:
+            arrival = at
+        while self._finishes and self._finishes[0] <= at:
             self._finishes.popleft()
         depth = len(self._finishes)
-        start = max(arrival, self.busy_until)
+        start = max(at, self.busy_until)
         finish = start + service
         self.busy_until = finish
         self._finishes.append(finish)
@@ -183,36 +191,32 @@ class NodeQueue:
         return start, finish, depth
 
     def offer(
-        self,
-        arrival: float,
-        service: float,
-        policy: ThresholdAdmission | None = None,
-        parked: bool = False,
+        self, at: float, service: float, arrival: float | None = None
     ) -> tuple[str, float, float, int]:
         """The admission gate in front of :meth:`admit`.
 
-        Consults ``policy`` with the depth the arriving job would see; on
-        ``accept`` the job is admitted exactly as by :meth:`admit` and
-        ``("accept", start, finish, depth)`` is returned.  On ``reject``/
-        ``defer`` *nothing is admitted* — the queue state is untouched apart
-        from the shed counters — and start/finish echo the arrival instant.
-        With ``policy=None`` every offer accepts, so the admission layer is
-        invisible unless explicitly configured.
+        Consults the queue's ``policy`` with the depth the job offered at
+        ``at`` would see; on ``accept`` the job is admitted exactly as by
+        :meth:`admit` (``arrival`` as there) and ``("accept", start, finish,
+        depth)`` is returned.  On ``reject``/``defer`` *nothing is admitted*
+        — the queue state is untouched apart from the shed counters — and
+        start/finish echo ``at``.  With ``policy=None`` every offer accepts,
+        so the admission layer is invisible unless explicitly configured.
 
-        ``parked=True`` marks the re-offer of a job already parked at this
-        peer: a parked job can only wait longer or get in, so any decline is
-        returned (and counted) as a deferral — one message therefore counts
-        at most one rejection, however many park rounds follow.
+        A job offered after its ``arrival`` is a parked job's re-offer: it
+        can only wait longer or get in, so any decline is returned (and
+        counted) as a deferral — one message therefore counts at most one
+        rejection, however many park rounds follow.
         """
-        if policy is not None:
-            depth = self.depth_at(arrival)
-            if policy.decide(depth) != ACCEPT:
-                if parked:
+        if self.policy is not None:
+            depth = self.depth_at(at)
+            if self.policy.decide(depth) != ACCEPT:
+                if arrival is not None and arrival < at:
                     self.deferred += 1
-                    return DEFER, arrival, arrival, depth
+                    return DEFER, at, at, depth
                 self.rejected += 1
-                return REJECT, arrival, arrival, depth
-        start, finish, depth = self.admit(arrival, service)
+                return REJECT, at, at, depth
+        start, finish, depth = self.admit(at, service, arrival)
         return ACCEPT, start, finish, depth
 
     def backlog(self, now: float) -> float:
@@ -304,27 +308,35 @@ class LoadModel:
         return self._admission_by_node.get(node_id, self._admission_default)
 
     def offer(
-        self, node_id: str, arrival: float, kind: str, size: int = 1, parked: bool = False
+        self, node_id: str, at: float, kind: str, size: int = 1, arrival: float | None = None
     ) -> tuple[str, float, float, int]:
-        """Offer one delivered message to ``node_id``'s admission gate.
+        """Offer one delivered message to ``node_id``'s admission gate at ``at``.
 
         Returns ``(verdict, start, finish, depth)``; only an ``"accept"``
         verdict mutates the queue and records a sample (see
-        :meth:`NodeQueue.offer`, including the ``parked`` re-offer flag).
+        :meth:`NodeQueue.offer`: a message offered after its network
+        ``arrival``, default ``at``, is a parked job's re-offer).
         """
+        if arrival is None:
+            arrival = at
         queue = self._queues.get(node_id) or self.queue(node_id)
         service = self.profile.cost(kind) / queue.speed
-        verdict, start, finish, depth = queue.offer(arrival, service, queue.policy, parked=parked)
+        verdict, start, finish, depth = queue.offer(at, service, arrival)
         if verdict == ACCEPT:
             self.samples.append(node_id, kind, size, arrival, start, finish)
         return verdict, start, finish, depth
 
     def admit(
-        self, node_id: str, arrival: float, kind: str, size: int = 1
+        self, node_id: str, at: float, kind: str, size: int = 1, arrival: float | None = None
     ) -> tuple[float, float, int]:
-        """Queue one delivered message; return ``(start, finish, depth)``."""
+        """Queue one delivered message at ``at``; return ``(start, finish, depth)``.
+
+        ``arrival`` is its network arrival (default ``at``).
+        """
+        if arrival is None:
+            arrival = at
         queue = self._queues.get(node_id) or self.queue(node_id)
-        start, finish, depth = queue.admit(arrival, self.profile.cost(kind) / queue.speed)
+        start, finish, depth = queue.admit(at, self.profile.cost(kind) / queue.speed, arrival)
         self.samples.append(node_id, kind, size, arrival, start, finish)
         return start, finish, depth
 

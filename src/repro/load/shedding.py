@@ -15,8 +15,9 @@ load-balancing sections argue for:
   :data:`~repro.net.scheduler.PARK_PENALTY` seconds and force-admitted
   after :data:`~repro.net.scheduler.MAX_PARK_ROUNDS` rounds, so no work is
   ever silently dropped.
-  Rejects and park rounds (deferrals) are counted in
-  :class:`~repro.net.stats.NetworkStats`.
+  Each peer's :class:`~repro.load.model.NodeQueue` counts its own rejects
+  and park rounds (deferrals) and the wait of a parked job, from its
+  network arrival; :class:`~repro.net.stats.NetworkStats` keeps the totals.
 
 * **Piggybacked hints** — with a :class:`HintRegistry` attached to the
   network, every delivered message (data, replies, NACKs alike) carries the

@@ -7,7 +7,8 @@ overlay message goes through :meth:`Network.send`, which
 
 * refuses delivery to offline nodes (:class:`~repro.errors.NodeUnreachableError`),
 * samples a per-link latency from the configured latency model, and
-* accounts messages/bytes into global and per-query statistics frames.
+* accounts messages/bytes once, in the network's stats ledger, which
+  per-query statistics frames read.
 
 Query answer times are computed in one of two execution models:
 
@@ -32,7 +33,7 @@ from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.scheduler import Delivery, EventScheduler
 from repro.net.simulator import EventSimulator
-from repro.net.stats import NetworkStats, QueueLedger, StatsFrame
+from repro.net.stats import NetworkStats, StatsFrame
 from repro.net.trace import Trace
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "Trace",
     "NetworkStats",
     "StatsFrame",
-    "QueueLedger",
     "EventSimulator",
     "EventScheduler",
     "Delivery",

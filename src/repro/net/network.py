@@ -167,8 +167,8 @@ class Network:
     @contextmanager
     def frame(self) -> Iterator[StatsFrame]:
         """Scope a stats frame: all messages sent inside are attributed to it."""
-        frame = self.stats.push_frame()
+        frame = StatsFrame(self.stats)
         try:
             yield frame
         finally:
-            self.stats.pop_frame(frame)
+            frame.close()

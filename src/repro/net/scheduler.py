@@ -36,7 +36,7 @@ read, so a long run keeps no object per message.
 
 The scheduler shares the network's validation, latency sampling and stats
 ledger: a message scheduled here is accounted exactly like one sent through
-:meth:`Network.send`, just timestamped with its simulated delivery instant.
+:meth:`Network.send`, at its simulated delivery instant.
 
 With a :class:`~repro.load.model.LoadModel` attached, delivery is no longer
 completion: an arrived message enters the destination's FIFO work queue and
@@ -57,8 +57,10 @@ Two opt-in load-control layers ride on top (:mod:`repro.load.shedding`):
   reject with no ``on_rejected`` handler is parked instead (re-offered
   every :data:`PARK_PENALTY` seconds, force-admitted after
   :data:`MAX_PARK_ROUNDS` rounds), so plain data operations stay lossless.
-  Rejects and park rounds (deferrals) are counted in
-  :class:`~repro.net.stats.NetworkStats`.
+  Rejects and park rounds (deferrals) are counted once in
+  :class:`~repro.net.stats.NetworkStats`, and per peer in the
+  destination's :class:`~repro.load.model.NodeQueue`, which counts a
+  parked job's wait from its network arrival.
 * **hint piggybacking** — with a
   :class:`~repro.load.shedding.HintRegistry` attached, every message
   (data, reply and NACK alike) is stamped with the sender's advertised
@@ -288,7 +290,7 @@ class EventScheduler:
         ``hint`` is the depth stamped at departure and ``hints`` the
         registry that was attached then, which observes it.
         """
-        self.net.stats.record(kind, size, at=arrival)
+        self.net.stats.record(kind, size)
         self.log.append(arrival, src, dst, kind, size, hint)
         if hint is not None:
             hints.observe(dst, src, hint, arrival)
@@ -312,8 +314,8 @@ class EventScheduler:
     ) -> None:
         """Offer a delivered message to ``dst``'s admission gate at ``at``.
 
-        ``arrival`` is the original network arrival (service stats measure
-        queueing delay from it, so park time stays visible); ``at`` advances
+        ``arrival`` is the original network arrival (the queue counts the
+        job's wait from it, so park time stays visible); ``at`` advances
         past it on each park round, ``defers`` counting the rounds so far.
         A parked job is force-admitted once it has been parked
         :data:`MAX_PARK_ROUNDS` times.
@@ -322,12 +324,11 @@ class EventScheduler:
         assert load is not None
         if defers >= MAX_PARK_ROUNDS:
             # Parked often enough: force-admit so parked work always drains.
-            start, finish, depth = load.admit(dst, at, kind, size)
+            start, finish, _depth = load.admit(dst, at, kind, size, arrival)
             verdict = "accept"
         else:
-            verdict, start, finish, depth = load.offer(dst, at, kind, size, parked=defers > 0)
+            verdict, start, finish, _depth = load.offer(dst, at, kind, size, arrival)
         if verdict == "accept":
-            self.net.stats.record_service(dst, start - arrival, finish - start, depth)
             if on_delivered is None:
                 return
             if finish <= arrival:
@@ -338,7 +339,7 @@ class EventScheduler:
                 self.sim.schedule_at(finish, on_delivered, finish)
             return
         if verdict == "reject":  # only possible on the first, unparked offer
-            self.net.stats.record_reject(dst)
+            self.net.stats.record_reject()
             if on_rejected is not None:
                 try:
                     # The NACK is a real, accounted message (it carries the
@@ -351,7 +352,7 @@ class EventScheduler:
                 return
             # Nobody to tell: park the job so it is not lost.
         else:
-            self.net.stats.record_defer(dst)
+            self.net.stats.record_defer()
         retry = at + PARK_PENALTY
         self.sim.schedule_at(
             retry,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
+from collections import deque
 from operator import attrgetter
 
 from repro.net.latency import LatencyModel
@@ -53,12 +54,12 @@ def balanced_paths(num_groups: int) -> list[str]:
     """
     if num_groups < 1:
         raise ValueError("need at least one group")
-    paths = [""]
+    # Split the shallowest, leftmost leaf — keeps the trie near-balanced.
+    # Splitting from the front of a FIFO queue keeps it in (len, path) order.
+    paths = deque([""])
     while len(paths) < num_groups:
-        # Split the shallowest, leftmost leaf — keeps the trie near-balanced.
-        paths.sort(key=lambda p: (len(p), p))
-        victim = paths.pop(0)
-        paths.extend([victim + "0", victim + "1"])
+        victim = paths.popleft()
+        paths.extend((victim + "0", victim + "1"))
     return sorted(paths)
 
 
@@ -106,28 +107,22 @@ def wire_routing_tables(pnet: PGridNetwork, rng: random.Random | None = None) ->
     rng = rng or pnet.rng
     ordered = sorted(pnet.peers, key=lambda p: p.path)
     paths = [p.path for p in ordered]
-
-    def peers_with_prefix(prefix: str) -> list[PGridPeer]:
-        lo = bisect_left(paths, prefix)
-        upper = increment_path(prefix)
-        hi = bisect_left(paths, upper) if upper is not None else len(paths)
-        # Peers whose path is a strict prefix of `prefix` also cover it.
-        result = ordered[lo:hi]
-        if not result:
-            result = [p for p in ordered if prefix.startswith(p.path)]
-        return result
-
     groups = pnet.leaf_groups()
     for peer in pnet.peers:
         peer.routing = type(peer.routing)(fanout=pnet.fanout)
         for level in range(len(peer.path)):
+            # The complementary subtree: a slice of ``ordered``, never ``peer``.
             prefix = peer.required_prefix(level)
-            candidates = [p for p in peers_with_prefix(prefix) if p is not peer]
-            if not candidates:
-                continue
-            sample = rng.sample(candidates, min(pnet.fanout, len(candidates)))
-            for ref in sample:
-                peer.routing.add(level, ref.node_id)
+            lo = bisect_left(paths, prefix)
+            upper = increment_path(prefix)
+            hi = bisect_left(paths, upper) if upper is not None else len(paths)
+            candidates = range(lo, hi)
+            if lo == hi:
+                # Peers whose path is a strict prefix of `prefix` also cover it.
+                candidates = [i for i, path in enumerate(paths) if prefix.startswith(path)]
+            # Sampling indices draws exactly as sampling the peers would.
+            for i in rng.sample(candidates, min(pnet.fanout, len(candidates))):
+                peer.routing.add(level, ordered[i].node_id)
         peer.replicas = [p.node_id for p in groups.get(peer.path, []) if p is not peer]
 
 

@@ -163,9 +163,7 @@ class DistributedTripleStore:
         self, oid: str, values: dict[str, Value], start: PGridPeer | None = None
     ) -> tuple[list[Triple], Trace]:
         """Vertically decompose and publish a logical tuple."""
-        triples = triples_from_tuple(oid, values)
-        items = [posting for t in triples for posting in self.postings(t)]
-        return triples, self.pnet.insert_many(items, start=start)
+        return self.insert_tuples_batch([(oid, values)], start=start)
 
     def insert_tuples_batch(
         self,

@@ -472,13 +472,16 @@ class TestShowerEventInterpreter:
                 result = _identities(result)
             else:
                 result = [(peer_id, _identities(group)) for peer_id, group in result]
+            model = execution.get("load")
             runs.append(
                 (
                     sched.log,
                     trace,
                     result,
                     complete,
-                    frame,
+                    frame.snapshot(),
+                    frame.bytes_by_kind,
+                    None if model is None else model.snapshot(),
                     pnet.net.rng.getstate(),
                     pnet.rng.getstate(),
                 )

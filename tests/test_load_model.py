@@ -10,8 +10,9 @@ scheduler:
 * the zero-profile identity: a zero-cost load model reproduces the plain
   event scheduler byte for byte (messages, hops, completion times, event
   log) — the acceptance criterion that ties E12 back to PR 3;
-* ``StatsFrame.snapshot()`` gains queueing fields only when a load model is
-  active, and stays byte-for-byte identical for trace-mode runs;
+* ``StatsFrame.snapshot()`` keeps its historical shape in trace mode and
+  event mode, with or without a load model, whose per-peer figures live in
+  the queues;
 * a hypothesis property: sojourn >= service >= 0 for every admitted job.
 """
 
@@ -257,21 +258,20 @@ class TestStatsFrameGating:
         bulk_load(pnet, ITEMS)
         with pnet.net.frame() as frame, pnet.event_driven():
             pnet.lookup_many(KEYS[:10], start=pnet.peers[0])
-        assert "queueing" not in frame.snapshot()
+        assert list(frame.snapshot()) == ["messages", "bytes", "by_kind"]
 
-    def test_load_model_adds_queueing_fields(self):
+    def test_queues_count_every_serviced_message(self):
         pnet = build_network(24, replication=2, seed=66, split_by="population")
         bulk_load(pnet, ITEMS)
         model = LoadModel(ServiceProfile({"lookup": 0.01}))
         with pnet.net.frame() as frame, pnet.event_driven(load=model):
             pnet.lookup_many(KEYS[:10], start=pnet.peers[0])
-        snap = frame.snapshot()
-        assert "queueing" in snap
-        totals = snap["queueing"]
+        # Per-peer service lives in the queues, not in the frame.
+        assert list(frame.snapshot()) == ["messages", "bytes", "by_kind"]
+        totals = model.snapshot()
         assert sum(stats["jobs"] for stats in totals.values()) == frame.messages
         assert all(stats["sojourn"] >= stats["busy"] >= 0.0 for stats in totals.values())
-        # The global ledger saw the same service totals.
-        assert pnet.net.stats.total.snapshot()["queueing"] == totals
+        assert len(model.samples) == frame.messages
 
 
 @given(

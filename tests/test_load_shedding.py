@@ -67,17 +67,17 @@ class TestAdmissionPolicies:
 
 class TestNodeQueueOffer:
     def test_accept_matches_admit(self):
-        gated, plain = NodeQueue(), NodeQueue()
-        verdict, start, finish, depth = gated.offer(1.0, 0.5, ThresholdAdmission(8))
+        gated, plain = NodeQueue(policy=ThresholdAdmission(8)), NodeQueue()
+        verdict, start, finish, depth = gated.offer(1.0, 0.5)
         assert verdict == "accept"
         assert (start, finish, depth) == plain.admit(1.0, 0.5)
         assert gated.busy_until == plain.busy_until
 
     def test_reject_leaves_queue_untouched(self):
-        queue = NodeQueue()
+        queue = NodeQueue(policy=ThresholdAdmission(1))
         queue.admit(0.0, 1.0)
         before = (queue.busy_until, queue.jobs, queue.busy_time, queue.max_depth)
-        verdict, start, finish, depth = queue.offer(0.1, 1.0, ThresholdAdmission(1))
+        verdict, start, finish, depth = queue.offer(0.1, 1.0)
         assert verdict == "reject"
         assert (start, finish) == (0.1, 0.1)
         assert depth == 1
@@ -222,8 +222,9 @@ class TestSchedulerShedding:
         assert done == [pytest.approx(1.5)]
         assert nacked == [pytest.approx(1.0)]
         assert model.queue("c").jobs == 1 and model.queue("c").rejected == 1
+        assert model.snapshot()["c"]["rejected"] == 1
         snap = pnet.net.stats.total.snapshot()
-        assert snap["rejects"] == {"c": 1}
+        assert snap["rejects"] == 1
         assert snap["by_kind"]["reject"] == 1  # the NACK is a real message
 
     def test_handlerless_reject_is_parked_not_lost(self):
@@ -280,17 +281,21 @@ class TestSchedulerShedding:
         assert pnet.net.stats.total.total_deferrals == MAX_PARK_ROUNDS - 1
 
     def test_park_time_visible_in_service_stats(self):
-        """Regression: queueing stats measure wait from the network arrival,
-        so time spent parked by admission control is not invisible."""
+        """Regression: the queue measures wait from the network arrival, so
+        time spent parked by admission control is not invisible."""
         pnet, a = _tiny_overlay()
         # Depth cap 0 declines *everything*: only the forced admission after
         # MAX_PARK_ROUNDS lets the job through.
         model = LoadModel(ServiceProfile({"ping": 1.0}), admission={"c": ThresholdAdmission(0)})
-        with pnet.net.frame() as frame, pnet.event_driven(load=model):
+        with pnet.event_driven(load=model):
             pnet.scheduler.send_at(0.0, "a", "c", "ping")
             pnet.scheduler.run()
-        ledger = frame.snapshot()["queueing"]["c"]
-        assert ledger["wait"] == pytest.approx(MAX_PARK_ROUNDS * PARK_PENALTY)
+        parked = pytest.approx(MAX_PARK_ROUNDS * PARK_PENALTY)
+        (sample,) = model.samples
+        assert model.queue("c").total_wait == parked
+        assert model.snapshot()["c"]["wait"] == parked
+        assert sample.wait == parked
+        assert model.snapshot()["c"]["sojourn"] == pytest.approx(sample.wait + 1.0)
 
     def test_hint_piggyback_on_deliveries(self):
         pnet, a = _tiny_overlay()
