@@ -7,10 +7,10 @@ of two, formerly independent, overlays").
   later load balancing may deepen the trie around it.
 
 * :func:`merge_overlays` — every peer of overlay ``b`` joins overlay ``a``
-  and re-publishes the entries it was responsible for.  Both overlays must
-  share the same simulated :class:`~repro.net.network.Network` (two
-  partitions of one physical network, as when two P-Grids discover each
-  other).  Returns the merged overlay (``a``, mutated).
+  and re-publishes the entries it was responsible for as one write wave.
+  Both overlays must share the same simulated
+  :class:`~repro.net.network.Network` (two partitions of one physical
+  network, as when two P-Grids discover each other).  Returns the merged overlay (``a``, mutated).
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ def merge_overlays(
     """Merge overlay ``b`` into overlay ``a`` (shared physical network).
 
     Every ``b`` peer joins ``a`` via the join protocol, then re-publishes the
-    entries it held in ``b`` through routed inserts, so data from both former
-    overlays becomes queryable in the merged trie.  When ``capacity`` is
-    given, a rebalance pass deepens overloaded groups afterwards.
+    entries it held in ``b`` as one write wave that keeps their versions, so
+    data from both former overlays becomes queryable in the merged trie.
+    When ``capacity`` is given, a rebalance pass deepens overloaded groups
+    afterwards.
     """
     if a.net is not b.net:
         raise ValueError("overlays must share one simulated network to merge")
@@ -72,14 +73,8 @@ def merge_overlays(
         old_peer.store.clear()
         old_peer.fail()  # the old incarnation leaves overlay b
         newcomer, _trace = join_peer(a, f"{old_peer.node_id}-merged", rng=rng)
-        for entry in entries:
-            a.insert(
-                entry.key,
-                entry.value,
-                item_id=entry.item_id,
-                start=newcomer,
-                version=entry.version,
-            )
+        puts = [(entry.key, entry.item_id, entry.value, entry.version) for entry in entries]
+        a.write(puts, start=newcomer)
     if capacity is not None:
         rebalance(a, capacity=capacity)
     return a

@@ -2,23 +2,19 @@
 
 ``PGridNetwork`` bundles the simulated :class:`~repro.net.network.Network`
 with the set of P-Grid peers and exposes the DHT operations the upper layers
-use: routed ``insert`` / ``lookup`` / ``update``, plus global-view inspection
-helpers (used only by tests, benchmarks and the oracle builder — never by the
-distributed algorithms themselves).
+use: routed writes and ``lookup``, plus global-view inspection helpers (used
+only by tests, benchmarks and the oracle builder — never by the distributed
+algorithms themselves).
 
-Writes go to **all online replicas** of the responsible group (one group
-write per operation); reads are served by whichever replica routing lands
-on.  This mirrors P-Grid's replication model, where updates are pushed
-best-effort and replicas converge through anti-entropy
-(:mod:`repro.pgrid.updates`).
-
-Besides the per-key operations, the facade offers **destination-grouped bulk
-primitives** — :meth:`PGridNetwork.insert_many` / :meth:`PGridNetwork.lookup_many`.
-They group a batch of keys by responsible region, route *once per region*
-(one sized message per destination, size = the region's sub-batch), and push
-one sized replica message per region, so the per-message routing cost
-amortizes across the batch.  Upper layers (triple store, MQP probes) publish
-and probe through these.
+Every routed write is one **write wave** (:meth:`PGridNetwork.write`) of puts
+and removals, grouped by responsible region: every region is routed before
+any store changes, so a routing failure changes nothing.  Each region is one
+message sized by its puts plus removals; its destination and **all online
+replicas** apply the removals, then the puts, and each replica costs one
+equally sized push.  Reads are served by whichever replica routing lands on;
+:meth:`PGridNetwork.lookup_many` routes and replies once per region.  This
+mirrors P-Grid's replication model, where updates are pushed best-effort and
+replicas converge through anti-entropy (:mod:`repro.pgrid.updates`).
 
 Every data operation runs in one of two execution models:
 
@@ -47,6 +43,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from collections.abc import Sequence
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -58,7 +55,7 @@ from repro.net.trace import Trace
 from repro.pgrid.datastore import Entry, newest
 from repro.pgrid.keys import KeyRange, is_complete_partition, responsible
 from repro.pgrid.peer import PGridPeer
-from repro.pgrid.routing import point_key, route, route_hops
+from repro.pgrid.routing import point_key, route_hops
 
 
 class PGridNetwork:
@@ -208,18 +205,12 @@ class PGridNetwork:
         version: int | None = None,
         kind: str = "insert",
     ) -> Trace:
-        """Route an item to its responsible group and store it on all online replicas."""
+        """Route an item to its responsible group and store it on all online
+        replicas (a write wave of one put; ``version=None`` takes the next)."""
         start = start or self.random_online_peer()
         if item_id is None:
             item_id = f"item-{self._clock}-{self.rng.getrandbits(32):08x}"
-        if version is None:
-            version = self.next_version()
-        entry = Entry(key=key, item_id=item_id, value=value, version=version)
-        # Point semantics: land on the exact responsible leaf, not merely an
-        # entry point into the key's subtree (matters for deep tries).
-        destination, trace = route(start, point_key(key), kind=kind, runner=self)
-        _changed, pushes = self._write_group(destination, kind, [entry])
-        return trace.then(self.ship_many(pushes)) if pushes else trace
+        return self.write([(key, item_id, value, version)], start=start, kind=kind)[1]
 
     def lookup(
         self, key: str, start: PGridPeer | None = None, kind: str = "lookup"
@@ -322,41 +313,73 @@ class PGridNetwork:
             observer=observer,
         )
 
+    def write(
+        self,
+        puts: Sequence[tuple[str, str, object, int | None]] = (),
+        removals: Sequence[tuple[str, str]] = (),
+        start: PGridPeer | None = None,
+        kind: str = "insert",
+    ) -> tuple[bool, Trace]:
+        """The one routed write: ``puts`` of ``(key, item_id, value, version)``
+        (``None`` takes the next version) and ``removals`` of ``(key, item_id)``.
+
+        Every responsible region is routed from ``start`` before any store
+        changes, so a :class:`RoutingError` leaves every store as it was.
+        Regions fan out in parallel (in event-driven mode as interleaved
+        events; the call completes at the measured max).  Returns whether any
+        store changed, and the trace.
+        """
+        if not puts and not removals:
+            return False, Trace.ZERO
+        start = start or self.random_online_peer()
+        by_key: dict[str, tuple[list, list]] = defaultdict(lambda: ([], []))
+        for key, item_id, value, version in puts:
+            by_key[key][0].append((item_id, value, version))
+        for removal in removals:
+            by_key[removal[0]][1].append(removal)
+        changed = False
+        chains: list[ChainSpec] = []
+        for destination, region_keys, hops in self._route_regions(by_key, start, kind):
+            entries = [
+                Entry(key, item_id, value, self.next_version() if version is None else version)
+                for key in region_keys
+                for item_id, value, version in by_key[key][0]
+            ]
+            gone = [removal for key in region_keys for removal in by_key[key][1]]
+            region_changed, pushes = self._write_group(destination, kind, entries, gone)
+            changed |= region_changed
+            chains.append(ChainSpec(hops, kind, len(entries) + len(gone), then_send(pushes)))
+        return changed, self.run_chains(chains)
+
+    def _write_group(
+        self,
+        destination: PGridPeer,
+        kind: str,
+        entries: list[Entry],
+        removals: list[tuple[str, str]],
+    ) -> tuple[bool, Sends]:
+        """Apply ``removals`` (``(key, item_id)`` pairs), then merge ``entries``,
+        on ``destination`` and its online replicas.  Returns whether any store
+        changed, and one push per replica sized by the entries plus removals."""
+        members = [destination, *(self.net.nodes[rid] for rid in destination.online_replicas())]
+        changed = False
+        for member in members:
+            for key, item_id in removals:
+                changed = member.store.delete(key, item_id) or changed
+            changed = member.store.merge(entries) > 0 or changed
+        size = len(entries) + len(removals)
+        return changed, [(destination.node_id, m.node_id, kind, size) for m in members[1:]]
+
     def insert_many(
         self,
         items: list[tuple[str, str, object]],
         start: PGridPeer | None = None,
         kind: str = "insert",
     ) -> Trace:
-        """Bulk insert of ``(key, item_id, value)`` items, grouped by region.
-
-        Each responsible region is routed once from ``start``; the region's
-        whole sub-batch travels as one message sized by its item count, and
-        each online replica receives one equally sized push.  Message counts
-        therefore never exceed (and usually far undercut) the equivalent
-        sequence of single :meth:`insert` calls.  Regions fan out in
-        parallel; returns the combined trace.
-
-        In event-driven mode the per-region chains and replica pushes run as
-        interleaved events on the simulated clock and the call completes at
-        the measured max across regions.
-        """
-        if not items:
-            return Trace.ZERO
-        start = start or self.random_online_peer()
-        by_key: dict[str, list[tuple[str, object]]] = defaultdict(list)
-        for key, item_id, value in items:
-            by_key[key].append((item_id, value))
-        chains: list[ChainSpec] = []
-        for destination, region_keys, hops in self._route_regions(by_key, start, kind):
-            entries = [
-                Entry(key=key, item_id=item_id, value=value, version=self.next_version())
-                for key in region_keys
-                for item_id, value in by_key[key]
-            ]
-            _changed, pushes = self._write_group(destination, kind, entries)
-            chains.append(ChainSpec(hops, kind, len(entries), then_send(pushes)))
-        return self.run_chains(chains)
+        """Bulk insert of ``(key, item_id, value)`` items: one write wave, so
+        each responsible region is routed once."""
+        puts = [(key, item_id, value, None) for key, item_id, value in items]
+        return self.write(puts, start=start, kind=kind)[1]
 
     def lookup_many(
         self, keys, start: PGridPeer | None = None, kind: str = "lookup"
@@ -407,30 +430,14 @@ class PGridNetwork:
         return results, self.run_chains(chains)
 
     def delete(self, key: str, item_id: str, start: PGridPeer | None = None) -> tuple[bool, Trace]:
-        """Remove an identity from the responsible group's online replicas.
+        """Remove an identity from the responsible group's online replicas (a
+        write wave of one removal); returns ``(removed, trace)``.
 
         Offline replicas keep their copy until anti-entropy with a tombstone
         would reconcile them; this simulation propagates deletions to online
         replicas only (a documented simplification of ref. [4]).
         """
-        start = start or self.random_online_peer()
-        destination, trace = route(start, point_key(key), kind="delete", runner=self)
-        removed, pushes = self._write_group(destination, "delete", delete=(key, item_id))
-        if pushes:
-            trace = trace.then(self.ship_many(pushes))
-        return removed, trace
-
-    def _write_group(
-        self, destination: PGridPeer, kind: str, entries=(), delete: tuple | None = None
-    ) -> tuple[bool, Sends]:
-        """Merge ``entries`` into (or ``delete`` one ``(key, item_id)`` from) the
-        stores of ``destination`` and its online replicas.  Returns whether any
-        store changed, and one push per replica sized by the entries (1 for a
-        delete)."""
-        members = [destination, *(self.net.nodes[rid] for rid in destination.online_replicas())]
-        changed = [m.store.delete(*delete) if delete else m.store.merge(entries) for m in members]
-        size = 1 if delete else len(entries)
-        return any(changed), [(destination.node_id, m.node_id, kind, size) for m in members[1:]]
+        return self.write(removals=[(key, item_id)], start=start, kind="delete")
 
     def update(
         self,
@@ -445,10 +452,8 @@ class PGridNetwork:
         stay stale until anti-entropy reconciles them.
         """
         version = self.next_version()
-        trace = self.insert(
-            key, value, item_id=item_id, version=version, start=start, kind="update"
-        )
-        return version, trace
+        puts = [(key, item_id, value, version)]
+        return version, self.write(puts, start=start, kind="update")[1]
 
     # -- global-view helpers (no messages; tests / oracle only) ---------------
 

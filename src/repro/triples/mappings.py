@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.net.trace import Trace
 from repro.triples.store import DistributedTripleStore
-from repro.triples.triple import Triple
+from repro.triples.triple import triples_from_tuple
 
 #: Attribute names of the mapping meta-schema.
 MAP_SRC = "map:src"
@@ -43,6 +43,10 @@ class SchemaMapping:
     def oid(self) -> str:
         return f"map~{self.source}~{self.target}"
 
+    def fields(self) -> dict[str, str | float]:
+        """The correspondence as a logical tuple's attribute values."""
+        return {MAP_SRC: self.source, MAP_DST: self.target, MAP_CONF: self.confidence}
+
 
 class MappingCatalog:
     """Publish and resolve schema mappings through the triple store."""
@@ -51,28 +55,16 @@ class MappingCatalog:
         self.store = store
 
     def add(self, mapping: SchemaMapping) -> Trace:
-        """Publish a correspondence (both directions are derivable)."""
-        oid = mapping.oid()
-        triples = [
-            Triple(oid, MAP_SRC, mapping.source),
-            Triple(oid, MAP_DST, mapping.target),
-            Triple(oid, MAP_CONF, mapping.confidence),
-        ]
-        return Trace.parallel([self.store.insert(t) for t in triples])
+        """Publish a correspondence (both directions are derivable): its three
+        triples' postings travel as one write wave."""
+        _triples, trace = self.store.insert_tuple(mapping.oid(), mapping.fields())
+        return trace
 
     def bulk_add(self, mappings: list[SchemaMapping]) -> None:
         """Oracle placement of many mappings (benchmark/test setup)."""
-        triples = []
-        for mapping in mappings:
-            oid = mapping.oid()
-            triples.extend(
-                [
-                    Triple(oid, MAP_SRC, mapping.source),
-                    Triple(oid, MAP_DST, mapping.target),
-                    Triple(oid, MAP_CONF, mapping.confidence),
-                ]
-            )
-        self.store.bulk_insert(triples)
+        self.store.bulk_insert(
+            [t for mapping in mappings for t in triples_from_tuple(mapping.oid(), mapping.fields())]
+        )
 
     def equivalents(
         self, attribute: str, min_confidence: float = 0.0

@@ -17,10 +17,11 @@ overlay's :meth:`~repro.pgrid.network.PGridNetwork.lookup_at` and
 sequential range groups directly, and decode with :func:`stored_matches`.
 Here live:
 
-* maintenance — :meth:`insert`/:meth:`insert_tuple`/:meth:`insert_tuples_batch`
-  (all message-accounted through the overlay's destination-grouped bulk
-  inserts), :meth:`update_value`, :meth:`delete`, and oracle
-  :meth:`bulk_insert` for benchmark setup;
+* maintenance — :meth:`insert`/:meth:`insert_tuple`/:meth:`insert_tuples_batch`,
+  :meth:`update_value` and :meth:`delete`, each one write wave
+  (:meth:`~repro.pgrid.network.PGridNetwork.write`), so a write that cannot
+  reach one of its index keys changes no index; oracle :meth:`bulk_insert`
+  for benchmark setup;
 * reads — :meth:`by_oid`/:meth:`by_oids` and :meth:`by_attribute_value`,
   used by the schema-mapping layer (:mod:`repro.triples.mappings`).
   :meth:`by_value`, :meth:`attribute_range`, :meth:`attribute_all`,
@@ -191,26 +192,26 @@ class DistributedTripleStore:
         bulk_load(self.pnet, [posting for triple in triples for posting in self.postings(triple)])
 
     def delete(self, triple: Triple, start: PGridPeer | None = None) -> Trace:
-        """Withdraw a triple from every index."""
-        start = start or self.pnet.random_online_peer()
-        branches = []
-        for key, item_id, _triple in self.postings(triple):
-            _removed, trace = self.pnet.delete(key, item_id, start=start)
-            branches.append(trace)
-        return Trace.parallel(branches)
+        """Withdraw a triple from every index (one write wave of removals)."""
+        return self.pnet.write(removals=self._removals(triple), start=start, kind="delete")[1]
 
     def update_value(
         self, triple: Triple, new_value: Value, start: PGridPeer | None = None
     ) -> tuple[Triple, Trace]:
         """Replace the value of a fact (same OID + attribute).
 
-        The OID-index posting is versioned in place; the old A#v / v /
-        q-gram postings move to new keys, so they are deleted and re-inserted.
+        One write wave removes every posting of the old triple and writes
+        every posting of the new one.  The old and new OID postings share a
+        key, so they share a route; removals apply before puts, so an update
+        to the same value keeps the triple.
         """
         replacement = Triple(triple.oid, triple.attribute, new_value)
-        delete_trace = self.delete(triple, start=start)
-        insert_trace = self.insert(replacement, start=start)
-        return replacement, Trace.parallel([delete_trace, insert_trace])
+        puts = [(*posting, None) for posting in self.postings(replacement)]
+        _changed, trace = self.pnet.write(puts, self._removals(triple), start=start, kind="update")
+        return replacement, trace
+
+    def _removals(self, triple: Triple) -> list[tuple[str, str]]:
+        return [(key, item_id) for key, item_id, _triple in self.postings(triple)]
 
     # -- exact retrieval -----------------------------------------------------------
 

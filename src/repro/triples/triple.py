@@ -71,7 +71,8 @@ class Triple:
 
         Includes the value: attributes may be multi-valued (Fig. 3's
         ``has_published`` edges), so ``(oid, attribute)`` alone is not a key.
-        Value updates are realized as delete + insert by the triple store
+        A value update removes the old triple's postings and writes the new
+        one's, in one write wave
         (:meth:`DistributedTripleStore.update_value`), not by identity
         collision.  An integral float is written as its int, because
         equality treats ``1`` and ``1.0`` as the same triple.

@@ -30,7 +30,7 @@ from repro.pgrid.load_balancing import migrate_peer, split_group
 from repro.pgrid.merge import join_peer
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
-from repro.pgrid.routing import point_key, route
+from repro.pgrid.routing import route
 from repro.pgrid.updates import anti_entropy_round, sync_pair
 
 SLOW = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -244,51 +244,35 @@ def ref_bootstrap_exchange(pnet, rounds, capacity, rng, max_depth=16):
             ref_exchange(left, right, capacity, max_depth=max_depth)
 
 
-def ref_insert(pnet, key, value, item_id, start):
-    version = pnet.next_version()
-    entry = Entry(key=key, item_id=item_id, value=value, version=version)
-    destination, trace = route(start, point_key(key), kind="insert", runner=pnet)
-    destination.store.put(entry)
-    pushes = []
-    for replica_id in destination.online_replicas():
-        pnet.net.nodes[replica_id].store.put(entry)
-        pushes.append((destination.node_id, replica_id, "insert", 1))
-    return trace.then(pnet.ship_many(pushes)) if pushes else trace
-
-
-def ref_insert_many(pnet, items, start):
-    by_key = defaultdict(list)
-    for key, item_id, value in items:
-        by_key[key].append((item_id, value))
+def ref_insert_many(pnet, items, start, removals=(), kind="insert"):
+    """The write wave: route every region, then per member remove and put
+    one entry at a time.  An item may carry an explicit version."""
+    by_key, gone = defaultdict(list), defaultdict(list)
+    for key, item_id, value, *version in items:
+        by_key[key].append((item_id, value, version[0] if version else None))
+    for key, item_id in removals:
+        gone[key].append(item_id)
+    removed = False
     chains = []
-    for destination, region_keys, hops in pnet._route_regions(by_key, start, "insert"):
+    for destination, region_keys, hops in pnet._route_regions({*by_key, *gone}, start, kind):
         entries = [
-            Entry(key=key, item_id=item_id, value=value, version=pnet.next_version())
+            Entry(key, item_id, value, pnet.next_version() if version is None else version)
             for key in region_keys
-            for item_id, value in by_key[key]
+            for item_id, value, version in by_key.get(key, ())
         ]
-        for entry in entries:
-            destination.store.put(entry)
+        doomed = [(key, item_id) for key in region_keys for item_id in gone.get(key, ())]
+        size = len(entries) + len(doomed)
         pushes = []
-        for replica_id in destination.online_replicas():
-            replica = pnet.net.nodes[replica_id]
+        for member_id in [destination.node_id, *destination.online_replicas()]:
+            member = pnet.net.nodes[member_id]
+            for key, item_id in doomed:
+                removed = member.store.delete(key, item_id) or removed
             for entry in entries:
-                replica.store.put(entry)
-            pushes.append((destination.node_id, replica_id, "insert", len(entries)))
-        chains.append(ChainSpec(hops, "insert", len(entries), then_send(pushes)))
-    return pnet.run_chains(chains)
-
-
-def ref_delete(pnet, key, item_id, start):
-    destination, trace = route(start, point_key(key), kind="delete", runner=pnet)
-    removed = destination.store.delete(key, item_id)
-    pushes = []
-    for replica_id in destination.online_replicas():
-        removed = pnet.net.nodes[replica_id].store.delete(key, item_id) or removed
-        pushes.append((destination.node_id, replica_id, "delete", 1))
-    if pushes:
-        trace = trace.then(pnet.ship_many(pushes))
-    return removed, trace
+                member.store.put(entry)
+            if member is not destination:
+                pushes.append((destination.node_id, member_id, kind, size))
+        chains.append(ChainSpec(hops, kind, size, then_send(pushes)))
+    return removed, pnet.run_chains(chains)
 
 
 def ref_all_entries(pnet, key_range=None):
@@ -327,9 +311,13 @@ REF = SimpleNamespace(
     join_peer=ref_join_peer,
     exchange=lambda _pnet, p, q, capacity: ref_exchange(p, q, capacity),
     bootstrap_exchange=ref_bootstrap_exchange,
-    insert=ref_insert,
-    insert_many=ref_insert_many,
-    delete=ref_delete,
+    insert=lambda pnet, key, value, item_id, start: ref_insert_many(
+        pnet, [(key, item_id, value)], start
+    )[1],
+    insert_many=lambda pnet, items, start: ref_insert_many(pnet, items, start)[1],
+    delete=lambda pnet, key, item_id, start: ref_insert_many(
+        pnet, [], start, removals=[(key, item_id)], kind="delete"
+    ),
     all_entries=ref_all_entries,
 )
 
