@@ -10,7 +10,8 @@ of two, formerly independent, overlays").
   and re-publishes the entries it was responsible for as one write wave.
   Both overlays must share the same simulated
   :class:`~repro.net.network.Network` (two partitions of one physical
-  network, as when two P-Grids discover each other).  Returns the merged overlay (``a``, mutated).
+  network, as when two P-Grids discover each other).  Returns the merged
+  overlay (``a``, mutated).
 """
 
 from __future__ import annotations
